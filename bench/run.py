@@ -1,20 +1,21 @@
 """capsched benchmark: four seeded workloads, end-to-end and per-layer metrics.
 
-    python3 bench/run.py --workload loocv --seed 1 --seconds 12 --trace 0
+    python3 bench/run.py --workload loocv --seed 1 --trace 0
     python3 bench/run.py                  # every workload, each in its own process
 
 One workload runs per process, so peak RSS belongs to it alone. With
 --trace 0 the run sets up the inputs several times (setup_s is the
 median), warms up on the first ops of a pass, then repeats the fixed
-pass until about --seconds have gone by, with at least 11 ops, and
-reports the end-to-end metrics. Times are in reference seconds (see
-clock.py); raw wall times are printed beside them. With --trace 1 it
-sets up once and runs one untraced and one traced pass, and reports the
-per-layer metrics from the traced set-up and pass. Every pass's outputs
-are checked; all passes of a run must give the same digest, and the
-warm-up the same outputs as the start of a pass. The last stdout line
-is the result as JSON; a record with the environment, results and
-digest goes to bench/out/.
+pass until about run_seconds (from BENCHMARK.json) have gone by, with
+at least MIN_OPS ops, and reports the end-to-end metrics. Times are in
+reference seconds (see clock.py); unscaled wall times (raw.*) and
+process CPU times (cpu.*) are printed beside them. With --trace 1 it sets up once under the
+tracer, runs untraced and traced passes in cycles of A B B A, and
+reports the per-layer metrics from the traced set-up and first traced
+pass. Every pass's outputs are checked; all passes of a run must give
+the same digest, and the warm-up the same outputs as the start of a
+pass. The last stdout line is the result as JSON; a record with the
+environment, results and digest goes to bench/out/.
 """
 
 from __future__ import annotations
@@ -46,8 +47,11 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 OUT = BENCH / "out"
 
+# Run length is the benchmark's, not the caller's: --seconds exists
+# because benchmark runners pass it, and must equal this.
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 DEFAULT_SEED = 1
-MIN_OPS = 11            # the tail percentile needs 10 samples beyond it
+MIN_OPS = 40            # op_tail_ms, with 10 samples beyond it, is then at least p75
 SETUP_REPS = (3, 20)    # at least 3 set-ups, more while they total under SETUP_BUDGET_S
 SETUP_BUDGET_S = 1.0
 
@@ -79,14 +83,17 @@ def tail_percentile(n: int) -> float:
     return 100.0 * (n - 10) / n
 
 
-def op_metrics(op_s: list[float], prefix: str = "") -> dict[str, float]:
+def op_metrics(op_s: list[float], tail_n: int, prefix: str = "") -> dict[str, float]:
+    """Throughput, median and tail; the tail is tail_percentile(tail_n),
+    nearest rank, so that it is the same percentile on every run."""
+    rank = -(-(tail_n - 10) * len(op_s) // tail_n)
     return {f"{prefix}ops_per_s": len(op_s) / sum(op_s),
             f"{prefix}op_p50_ms": 1e3 * statistics.median(op_s),
-            f"{prefix}op_tail_ms": 1e3 * sorted(op_s)[len(op_s) - 11]}
+            f"{prefix}op_tail_ms": 1e3 * sorted(op_s)[rank - 1]}
 
 
-def full_pass(workload, state):
-    result = workload.run_pass(state)
+def full_pass(workload, state, ops=None):
+    result = workload.run_pass(state, ops)
     # Keep digests of the warm-up prefix and of the whole pass instead of
     # the outputs, so memory does not grow with the pass count.
     result.outputs = (digest(result.outputs[:workload.WARM_OPS]),
@@ -101,35 +108,41 @@ def warm_up(workload, state):
     return result
 
 
-def run_untraced(workload, seed: int, seconds: float):
+def run_untraced(workload, seed: int):
     clock = Clock()
     setups = []
     with clock.sampling():
         while len(setups) < SETUP_REPS[0] or (
-                sum(clock.unscaled(*s) for s in setups) < SETUP_BUDGET_S
+                sum(clock.wall(*s) for s in setups) < SETUP_BUDGET_S
                 and len(setups) < SETUP_REPS[1]):
             state = None  # free the previous set-up before timing the next
             gc.collect()
-            t0 = time.perf_counter()
+            t0, c0 = time.perf_counter(), time.process_time()
             state = workload.setup(seed)
-            setups.append((t0, time.perf_counter()))
+            setups.append((t0, time.perf_counter(), time.process_time() - c0))
         warm = warm_up(workload, state)
         passes = []
         start = time.perf_counter()
-        # Stop when another pass would overrun --seconds by more than half a pass.
+        # Stop when another pass would overrun RUN_SECONDS by more than half a pass.
         while (not passes or sum(len(p.op_spans) for p in passes) < MIN_OPS
-               or time.perf_counter() - start + 0.5 * passes[-1].wall_s < seconds):
+               or time.perf_counter() - start + 0.5 * passes[-1].wall_s < RUN_SECONDS):
             passes.append(full_pass(workload, state))
     spans = [span for p in passes for span in p.op_spans]
+    # The fewest ops a run makes: the tail percentile follows from it, not
+    # from the count of this run, which depends on the machine's speed.
+    per_pass = len(passes[0].op_spans)
+    tail_n = per_pass * -(-MIN_OPS // per_pass)
     metrics = {"setup_s": statistics.median(clock.scaled(*s) for s in setups),
-               **op_metrics([clock.scaled(*s) for s in spans]),
+               **op_metrics([clock.scaled(*s) for s in spans], tail_n),
                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
-    raw = {"raw.setup_s": statistics.median(clock.unscaled(*s) for s in setups),
-           **op_metrics([clock.unscaled(*s) for s in spans], "raw.")}
-    extra = {k: (v, END_TO_END[k.removeprefix("raw.")]) for k, v in raw.items()}
+    unscaled = {"raw.setup_s": statistics.median(clock.wall(*s) for s in setups),
+                **op_metrics([clock.wall(*s) for s in spans], tail_n, "raw."),
+                "cpu.setup_s": statistics.median(clock.cpu(*s) for s in setups),
+                **op_metrics([clock.cpu(*s) for s in spans], tail_n, "cpu.")}
+    extra = {k: (v, END_TO_END[k.partition(".")[2]]) for k, v in unscaled.items()}
     extra["clock.kernel_ms"] = (1e3 * statistics.median(clock.kernel_s), "ms")
     notes = {"setup_reps": len(setups), "passes": len(passes),
-             "op_tail_percentile": tail_percentile(len(spans)), "op_samples": len(spans)}
+             "op_tail_percentile": tail_percentile(tail_n), "op_samples": len(spans)}
     return metrics, END_TO_END, warm, passes, extra, notes
 
 
@@ -142,34 +155,50 @@ def run_traced(workload, seed: int):
         state = workload.setup(seed)
         setup_s = time.perf_counter() - t0
     warm = warm_up(workload, state)
-    with clock.sampling():
-        plain = full_pass(workload, state)
-    # Calibrations inside library calls get a span of their own, so they
-    # do not count as the self time of the call they interrupted.
-    with tracer.installed(), clock.sampling(tracer.wrap("bench.calibration",
-                                                        clock.calibrate)):
-        t0 = time.perf_counter()
-        traced = full_pass(workload, state)
-        pass_s = time.perf_counter() - t0
-    metrics = tracer.metrics(setup_s + pass_s)
-    # Median scaled op time rather than pass time, so that host noise
-    # during one of the two passes moves the overhead figure less.
-    overhead = (statistics.median(clock.scaled(*s) for s in traced.op_spans)
-                / statistics.median(clock.scaled(*s) for s in plain.op_spans) - 1.0)
-    metrics.update({"trace.setup_s": setup_s, "trace.pass_s": pass_s,
-                    "trace.overhead_pct": 100.0 * overhead})
+
+    def measured(pass_tracer):
+        if pass_tracer is None:
+            with clock.sampling():
+                return full_pass(workload, state, workload.TRACE_OPS)
+        # Calibrations inside library calls get a span of their own, so they
+        # do not count as the self time of the call they interrupted.
+        with pass_tracer.installed(), clock.sampling(
+                pass_tracer.wrap("bench.calibration", clock.calibrate)):
+            return full_pass(workload, state, workload.TRACE_OPS)
+
+    # Untraced and traced passes in cycles of A B B A, so that a steady
+    # drift in machine speed cancels, until the untraced passes add up to
+    # RUN_SECONDS. Only the first traced pass records into the tracer
+    # whose metrics are reported: they cover set-up and one pass.
+    plain, traced = [], []
+    while sum(r.wall_s for r in plain) < RUN_SECONDS:
+        plain.append(measured(None))
+        traced.append(measured(Tracer() if traced else tracer))
+        traced.append(measured(Tracer()))
+        plain.append(measured(None))
+    metrics = tracer.metrics(setup_s + traced[0].wall_s)
+
+    def total(results, span_s):
+        return sum(span_s(*s) for r in results for s in r.op_spans)
+
+    metrics.update({"trace.setup_s": setup_s, "trace.pass_s": traced[0].wall_s,
+                    "trace.overhead_pct": 100.0 * (total(traced, clock.scaled)
+                                                   / total(plain, clock.scaled) - 1.0)})
+    extra = {"trace.overhead_raw_pct": (100.0 * (total(traced, clock.wall)
+                                                 / total(plain, clock.wall) - 1.0), "%")}
     OUT.mkdir(exist_ok=True)
     tracer.write(OUT / f"{workload.name}-seed{seed}-spans.json")
-    return metrics, PER_LAYER, warm, [plain, traced], {}, {"op_samples": len(traced.op_spans)}
+    notes = {"op_samples_per_pass": len(traced[0].op_spans), "passes": len(plain + traced)}
+    return metrics, PER_LAYER, warm, plain + traced, extra, notes
 
 
-def run_one(workload, seed: int, seconds: float, trace: bool) -> int:
+def run_one(workload, seed: int, trace: bool) -> int:
     name = workload.name
     try:
         if trace:
             metrics, units, warm, passes, extra, notes = run_traced(workload, seed)
         else:
-            metrics, units, warm, passes, extra, notes = run_untraced(workload, seed, seconds)
+            metrics, units, warm, passes, extra, notes = run_untraced(workload, seed)
     except Exception:  # an op that raises fails the run
         traceback.print_exc()
         return 1
@@ -186,7 +215,7 @@ def run_one(workload, seed: int, seconds: float, trace: bool) -> int:
     extra = {**passes[-1].results,
              "fail_frac": (failed / attempted, "failed/attempted"), **extra}
 
-    record = {"workload": name, "seed": seed, "seconds": seconds, "trace": int(trace),
+    record = {"workload": name, "seed": seed, "seconds": RUN_SECONDS, "trace": int(trace),
               "environment": environment(), "metrics": metrics,
               "results": {k: v for k, (v, _) in extra.items()},
               "digest": digests.pop() if len(digests) == 1 else None,
@@ -213,13 +242,13 @@ def run_one(workload, seed: int, seconds: float, trace: bool) -> int:
     return 0 if correct and failed == 0 else 1
 
 
-def run_all(names, seed: int, seconds: float, trace: bool) -> int:
+def run_all(names, seed: int, trace: bool) -> int:
     combined = {"correct": True, "attempted": 0, "failed": 0, "metrics": {}}
     status = 0
     for name in names:
         proc = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--workload", name,
-             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))],
+             "--seed", str(seed), "--trace", str(int(trace))],
             stdout=subprocess.PIPE, text=True, check=False)
         lines = proc.stdout.splitlines()
         result = {"correct": False}
@@ -241,21 +270,26 @@ def main() -> int:
     parser.add_argument("--workload", default=None,
                         help="one workload; omit to run them all, one process each")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=12.0)
+    parser.add_argument("--seconds", type=int, default=RUN_SECONDS,
+                        help=f"must be run_seconds from BENCHMARK.json ({RUN_SECONDS})")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
+    if args.seconds != RUN_SECONDS:
+        print(f"error: --seconds must be {RUN_SECONDS}, the run_seconds in BENCHMARK.json",
+              file=sys.stderr)
+        return 2
     if not (ROOT / "src" / "capsched" / "__init__.py").is_file():
         print(f"error: capsched sources not found under {ROOT / 'src'}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(ROOT / "src"))
     from workloads import WORKLOADS
     if args.workload is None:
-        return run_all(list(WORKLOADS), args.seed, args.seconds, bool(args.trace))
+        return run_all(list(WORKLOADS), args.seed, bool(args.trace))
     if args.workload not in WORKLOADS:
         print(f"error: unknown workload {args.workload!r}; "
               f"choose from {', '.join(WORKLOADS)}", file=sys.stderr)
         return 2
-    return run_one(WORKLOADS[args.workload], args.seed, args.seconds, bool(args.trace))
+    return run_one(WORKLOADS[args.workload], args.seed, bool(args.trace))
 
 
 if __name__ == "__main__":

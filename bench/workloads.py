@@ -3,10 +3,11 @@
 Each workload builds its inputs from the benchmark seed in ``setup``
 and then runs passes over them. A pass is a fixed sequence of ops;
 ``run_pass(state, ops)`` runs its first ``ops`` ops (all of them when
-``ops`` is None), records each op's start and end, counts failed ops
-and checks what it got. Its outputs are a list with one entry per op,
-so the warm-up (the first WARM_OPS ops) must reproduce the start of
-every full pass.
+``ops`` is None), records each op as a span (wall start, wall end,
+process CPU seconds), counts failed ops and checks what it got. Its
+outputs are a list with one entry per op, so the warm-up (the first
+WARM_OPS ops) must reproduce the start of every full pass. A traced run
+times passes of TRACE_OPS ops (None: the full pass).
 
 All library calls go through module attributes (``scheduler.place``,
 not a name imported from it), so a traced run sees them.
@@ -26,7 +27,7 @@ from capsched import core, experiment, scheduler, simulator, workload_synth
 @dataclass
 class PassResult:
     wall_s: float
-    op_spans: list[tuple[float, float]]
+    op_spans: list[tuple[float, float, float]]
     failed: int
     outputs: list
     results: dict[str, tuple[float, str]]
@@ -47,11 +48,14 @@ class Loocv:
     and a run averages over ROUNDS of them. (A full run_loocv is 55
     rounds of about a second, too long for one run.) The round is
     observed at the surface_error call it makes on its held-out workload.
+    ROUNDS is 40 so that op_tail_ms, the highest percentile with 10
+    samples beyond it, is the 75th; a traced run uses the first 10.
     """
 
     name = "loocv"
-    ROUNDS = 20
+    ROUNDS = 40
     WARM_OPS = 1
+    TRACE_OPS = 10
 
     def setup(self, seed: int):
         config = experiment.ExperimentConfig()
@@ -77,13 +81,13 @@ class Loocv:
         start = time.perf_counter()
         try:
             for wset in shuffled[:ops]:
-                t0 = time.perf_counter()
+                t0, c0 = time.perf_counter(), time.process_time()
                 try:
                     experiment.run_loocv(config, wset)
                     problems.append("run_loocv ended without a held-out round")
                 except _RoundDone:
                     pass
-                op_spans.append((t0, time.perf_counter()))
+                op_spans.append((t0, time.perf_counter(), time.process_time() - c0))
         finally:
             experiment.surface_error = surface_error
         wall = time.perf_counter() - start
@@ -109,6 +113,7 @@ class PlaceWide:
     REQUESTS = 2000
     NODES = 250
     WARM_OPS = 20
+    TRACE_OPS = None
 
     def setup(self, seed: int):
         wset = workload_synth.WorkloadSet.generate(
@@ -123,12 +128,12 @@ class PlaceWide:
         placed, op_spans, failed = [], [], 0
         start = time.perf_counter()
         for request in requests:
-            t0 = time.perf_counter()
+            t0, c0 = time.perf_counter(), time.process_time()
             try:
                 placed.extend(scheduler.place([request], nodes, config))
             except core.CapacityExhaustedError:
                 failed += 1
-            op_spans.append((t0, time.perf_counter()))
+            op_spans.append((t0, time.perf_counter(), time.process_time() - c0))
         specs = {wid: (spec, profile) for wid, spec, profile in requests}
         report = simulator.simulate_colocated(
             [(p.workload_id, p.node_id, *specs[p.workload_id]) for p in placed],
@@ -166,6 +171,7 @@ class ColocateLarge:
     name = "colocate-large"
     TRIALS = 100
     WARM_OPS = 1
+    TRACE_OPS = None
 
     def setup(self, seed: int):
         config = experiment.ExperimentConfig(
@@ -183,9 +189,9 @@ class ColocateLarge:
         for trial in trials:
             trial_config = replace(config, rng_seed=config.rng_seed * 1000 + trial,
                                    trials=1)
-            t0 = time.perf_counter()
+            t0, c0 = time.perf_counter(), time.process_time()
             report = experiment.run_colocation(trial_config, wset, bundle)
-            op_spans.append((t0, time.perf_counter()))
+            op_spans.append((t0, time.perf_counter(), time.process_time() - c0))
             if report.summary["trials"] != 1 or len(report.rows) != 1:
                 problems.append(f"trial {trial}: expected one trial row")
             rows.extend(report.rows)
@@ -220,6 +226,7 @@ class SimulateDense:
     NODES = 30
     PLACEMENTS = 8
     WARM_OPS = 1
+    TRACE_OPS = None
 
     def setup(self, seed: int):
         constants = core.NodeConstants()
@@ -254,9 +261,9 @@ class SimulateDense:
         reports, op_spans, problems = [], [], []
         start = time.perf_counter()
         for tenants in batch:
-            t0 = time.perf_counter()
+            t0, c0 = time.perf_counter(), time.process_time()
             reports.append(simulator.simulate_colocated(tenants, cluster))
-            op_spans.append((t0, time.perf_counter()))
+            op_spans.append((t0, time.perf_counter(), time.process_time() - c0))
         wall = time.perf_counter() - start
         for tenants, report in zip(batch, reports):
             sds = [e.sd for e in report.entries]

@@ -20,7 +20,6 @@ from .core import (
     NodeConstants,
     OutOfRegionError,
     PressureSensitivity,
-    ProbeError,
     ResourceSpec,
     ScalingSurface,
     SharedResource,
@@ -28,7 +27,6 @@ from .core import (
     round_half_up,
 )
 from .estimator import (
-    EstimatorConfig,
     ResourceFootprint,
     SimulatedProbe,
     WorkloadProbe,

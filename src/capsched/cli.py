@@ -25,7 +25,6 @@ from .core import (
     write_json,
 )
 from .estimator import (
-    EstimatorConfig,
     build_profile,
     stress_reference_tracks,
     tracks_from_json,
@@ -142,19 +141,22 @@ def cmd_plan(args) -> int:
     out = _out_dir(args)
     bundle = ModelBundle.load(args.bundle)
     raw = _load_json(args.indexes)
-    indexes = SystemIndexVector.from_json(raw.get("indexes", raw))
-    base = ResourceSpec.parse(args.base) if args.base else config.base_spec
+    if isinstance(raw, dict):
+        raw = raw.get("indexes", raw)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{args.indexes}: index vector must be a JSON object")
+    indexes = SystemIndexVector.from_json(raw)
     current = ResourceSpec.parse(args.current)
     tolerance = config.epsilon if args.tolerance is None else args.tolerance
     request = PlanningRequest(policy=args.policy, current_spec=current,
                               target_speedup=args.target,
                               performance_tolerance=tolerance,
                               cost_weights=config.cost_weights)
-    surface = bundle.predict(base, indexes)
+    surface = bundle.predict(config.base_spec, indexes)
     record = {
         "schema": "plan/v1",
         "policy": args.policy,
-        "base": base.key,
+        "base": config.base_spec.key,
         "current": current.key,
         "target_speedup": args.target,
         "performance_tolerance": tolerance,
@@ -186,15 +188,12 @@ def cmd_estimate(args) -> int:
         tracks = tracks_from_json(_load_json(args.tracks))
     else:
         tracks = stress_reference_tracks(wset.constants)
-    est = EstimatorConfig(levels=wset.constants.levels,
-                          iops_scaler=wset.constants.iops_per_level,
-                          reference_tracks=tracks)
     records = []
     for w in wset.workloads:
         spec = ResourceSpec.parse(args.spec) if args.spec else w.origin_spec
         probe = probe_for(w, spec, wset.constants,
                           noise_sigma=config.probe_noise, seed=w.noise_seed)
-        profile = build_profile(probe, est)
+        profile = build_profile(probe, tracks)
         records.append({"workload_id": w.workload_id, "spec": spec.to_json(),
                         "profile": profile.to_json()})
     write_json(out / "profiles.json",
@@ -401,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target speedup over current (scale-up)")
     p.add_argument("--tolerance", type=float,
                    help="performance tolerance (scale-down)")
-    p.add_argument("--base", help="base spec whose classifier to use")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("estimate", parents=[common],

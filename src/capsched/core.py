@@ -30,7 +30,6 @@ __all__ = [
     "NodeConstants",
     "OutOfRegionError",
     "PressureSensitivity",
-    "ProbeError",
     "ResourceSpec",
     "ScalingSurface",
     "SharedResource",
@@ -56,10 +55,6 @@ class InfeasibleError(RuntimeError):
 
 class CapacityExhaustedError(RuntimeError):
     """No node has enough free capacity for a deployment request."""
-
-
-class ProbeError(RuntimeError):
-    """The measurement probe returned unusable data."""
 
 
 def round_half_up(x: float) -> int:

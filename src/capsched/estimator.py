@@ -34,13 +34,11 @@ from .core import (
     KmpsTrack,
     NodeConstants,
     PressureSensitivity,
-    ProbeError,
     SharedResource,
     round_half_up,
 )
 
 __all__ = [
-    "EstimatorConfig",
     "ResourceFootprint",
     "SimulatedProbe",
     "WorkloadProbe",
@@ -48,10 +46,9 @@ __all__ = [
     "llc_sensitivity_ways",
     "match_pressure",
     "pressure_level",
-    "quantify_disk",
     "quantify_llc",
-    "quantify_membw",
-    "quantify_network",
+    "quantify_rate",
+    "rate_capacity",
     "stress_reference_tracks",
     "ways_to_level",
 ]
@@ -118,11 +115,10 @@ class ResourceFootprint:
                    sens_disk=int(obj["sens_disk"]),
                    sens_network=int(obj["sens_network"]))
 
-    @classmethod
-    def idle(cls) -> "ResourceFootprint":
-        return cls(kmps_base=0.0, demand_ways=0.0, demand_slope=0.0,
-                   membw_gbps=0.0, iops=0.0, network_gbps=0.0,
-                   sens_membw=0, sens_disk=0, sens_network=0)
+    def kmps_at(self, ways: float) -> float:
+        """Kmps at full activity with the allocation capped at `ways`."""
+        return self.kmps_base * (1.0 + self.demand_slope
+                                 * max(0.0, self.demand_ways - ways))
 
 
 class WorkloadProbe(abc.ABC):
@@ -188,16 +184,12 @@ class SimulatedProbe(WorkloadProbe):
     def _solo_usage(self, resource: SharedResource) -> float:
         f, a = self._footprint, self._activity
         if resource is SharedResource.LLC:
-            return a * self._kmps_at(self._constants.llc_ways)
+            return a * f.kmps_at(self._constants.llc_ways)
         if resource is SharedResource.MEMORY_BANDWIDTH:
             return a * f.membw_gbps
         if resource is SharedResource.DISK:
             return a * f.iops
         return a * f.network_gbps
-
-    def _kmps_at(self, ways: int) -> float:
-        f = self._footprint
-        return f.kmps_base * (1.0 + f.demand_slope * max(0.0, f.demand_ways - ways))
 
     def _tolerance(self, resource: SharedResource) -> int:
         f, n = self._footprint, self._constants.levels
@@ -212,7 +204,7 @@ class SimulatedProbe(WorkloadProbe):
     def set_llc_ways(self, ways: int) -> float:
         if not 1 <= ways <= self._constants.llc_ways:
             raise ValueError(f"ways must be in 1..{self._constants.llc_ways}, got {ways}")
-        return self._noisy(self._activity * self._kmps_at(ways))
+        return self._noisy(self._activity * self._footprint.kmps_at(ways))
 
     def apply_stress(self, resource: SharedResource, level: int) -> float:
         if resource is SharedResource.LLC:
@@ -330,59 +322,44 @@ def _sweep_sensitivity(probe: WorkloadProbe, resource: SharedResource,
     return n_levels - max_level
 
 
-def quantify_membw(probe: WorkloadProbe, n_levels: int) -> PressureSensitivity:
-    if n_levels < 1:
-        raise ValueError("n_levels must be >= 1")
-    usage = probe.apply_stress(SharedResource.MEMORY_BANDWIDTH, 0)
-    pressure = pressure_level(usage, probe.constants.phy_membw_gbps, n_levels)
-    sens = _sweep_sensitivity(probe, SharedResource.MEMORY_BANDWIDTH, n_levels, usage)
+def rate_capacity(constants: NodeConstants, resource: SharedResource) -> float:
+    """Physical capacity a rate resource's usage is discretized against.
+
+    Disk has no bandwidth ceiling of its own; its scale is `levels`
+    steps of iops_per_level.
+    """
+    if resource is SharedResource.MEMORY_BANDWIDTH:
+        return constants.phy_membw_gbps
+    if resource is SharedResource.DISK:
+        return constants.levels * constants.iops_per_level
+    if resource is SharedResource.NETWORK:
+        return constants.phy_network_gbps
+    raise ValueError(f"{resource} is not a rate resource")
+
+
+def quantify_rate(probe: WorkloadProbe, resource: SharedResource) -> PressureSensitivity:
+    """Pressure from solo usage, sensitivity from an ascending stress sweep."""
+    constants = probe.constants
+    usage = probe.apply_stress(resource, 0)
+    pressure = pressure_level(usage, rate_capacity(constants, resource),
+                              constants.levels)
+    sens = _sweep_sensitivity(probe, resource, constants.levels, usage)
     return PressureSensitivity(pressure=pressure, sensitivity=sens)
 
 
-def quantify_disk(probe: WorkloadProbe, n_levels: int, iops_scaler: float) -> PressureSensitivity:
-    if iops_scaler <= 0:
-        raise ValueError("iops_scaler must be positive")
-    if n_levels < 1:
-        raise ValueError("n_levels must be >= 1")
-    usage = probe.apply_stress(SharedResource.DISK, 0)
-    pressure = min(n_levels, round_half_up(usage / iops_scaler))
-    sens = _sweep_sensitivity(probe, SharedResource.DISK, n_levels, usage)
-    return PressureSensitivity(pressure=pressure, sensitivity=sens)
+def build_profile(probe: WorkloadProbe, reference_tracks=None) -> InterferenceProfile:
+    """Quantify all four resources, one at a time, and assemble the profile.
 
-
-def quantify_network(probe: WorkloadProbe, n_levels: int) -> PressureSensitivity:
-    if n_levels < 1:
-        raise ValueError("n_levels must be >= 1")
-    usage = probe.apply_stress(SharedResource.NETWORK, 0)
-    pressure = pressure_level(usage, probe.constants.phy_network_gbps, n_levels)
-    sens = _sweep_sensitivity(probe, SharedResource.NETWORK, n_levels, usage)
-    return PressureSensitivity(pressure=pressure, sensitivity=sens)
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Level counts, disk scaler and calibrated reference tracks."""
-
-    levels: int = 20
-    iops_scaler: float = 1000.0
-    reference_tracks: tuple = ()
-
-    @classmethod
-    def for_constants(cls, constants: NodeConstants) -> "EstimatorConfig":
-        return cls(levels=constants.levels,
-                   iops_scaler=constants.iops_per_level,
-                   reference_tracks=stress_reference_tracks(constants))
-
-
-def build_profile(probe: WorkloadProbe, config: EstimatorConfig | None = None) -> InterferenceProfile:
-    """Quantify all four resources, one at a time, and assemble the profile."""
-    if config is None:
-        config = EstimatorConfig.for_constants(probe.constants)
-    llc = quantify_llc(probe, config.reference_tracks)
-    membw = quantify_membw(probe, config.levels)
-    disk = quantify_disk(probe, config.levels, config.iops_scaler)
-    network = quantify_network(probe, config.levels)
-    return InterferenceProfile(llc=llc, membw=membw, disk=disk, network=network)
+    reference_tracks defaults to the calibrated stress tracks of the
+    probe's node constants.
+    """
+    if reference_tracks is None:
+        reference_tracks = stress_reference_tracks(probe.constants)
+    return InterferenceProfile(
+        llc=quantify_llc(probe, reference_tracks),
+        membw=quantify_rate(probe, SharedResource.MEMORY_BANDWIDTH),
+        disk=quantify_rate(probe, SharedResource.DISK),
+        network=quantify_rate(probe, SharedResource.NETWORK))
 
 
 def tracks_to_json(tracks) -> dict:

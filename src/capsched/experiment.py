@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,12 +21,11 @@ from .core import (
     CapacityExhaustedError,
     ConfigRegion,
     InfeasibleError,
-    NodeConstants,
     ResourceSpec,
     ScalingSurface,
     SystemIndexVector,
 )
-from .estimator import EstimatorConfig, build_profile, stress_reference_tracks
+from .estimator import build_profile, stress_reference_tracks
 from .planner import (
     DEFAULT_COST_WEIGHTS,
     DEFAULT_EPSILON,
@@ -37,6 +36,7 @@ from .planner import (
     FeatureSelection,
     ModelBundle,
     PlanningRequest,
+    SurfaceClassifier,
     SurfaceClustering,
     cluster_surfaces,
     plan_capacity,
@@ -135,15 +135,10 @@ class ExperimentConfig:
         return (self.cost_weight_cores, self.cost_weight_memory)
 
     @property
-    def constants(self) -> NodeConstants:
-        return NodeConstants()
-
-    @property
     def cluster_spec(self) -> ClusterSpec:
         return ClusterSpec(nodes=self.cluster_nodes, node_cores=self.node_cores,
                            node_memory_gb=self.node_memory_gb,
-                           constants=self.constants, gamma=self.gamma,
-                           theta=self.theta)
+                           gamma=self.gamma, theta=self.theta)
 
     def to_json(self) -> dict:
         out = {}
@@ -186,16 +181,14 @@ def build_workload_set(config: ExperimentConfig) -> WorkloadSet:
         workload_count=config.workload_count,
         seed=config.rng_seed,
         region=config.region,
-        constants=config.constants,
         base_spec=config.base_spec,
         surface_noise=config.surface_noise,
         footprint_noise=config.footprint_noise)
 
 
-def _observe(config: ExperimentConfig, workload: Workload,
+def _observe(config: ExperimentConfig, wset: WorkloadSet, workload: Workload,
              base: ResourceSpec) -> SystemIndexVector:
-    return observe_indexes(workload, base, config.noise_sigma,
-                           constants=config.constants)
+    return observe_indexes(workload, base, config.noise_sigma, wset.constants)
 
 
 @dataclass
@@ -215,8 +208,8 @@ def _prepare_base(config: ExperimentConfig, wset: WorkloadSet,
                   base: ResourceSpec) -> _BaseData:
     train = [wset.workload_by_id(i) for i in train_ids]
     val = [wset.workload_by_id(i) for i in val_ids]
-    train_obs = [_observe(config, w, base) for w in train]
-    val_obs = [_observe(config, w, base) for w in val]
+    train_obs = [_observe(config, wset, w, base) for w in train]
+    val_obs = [_observe(config, wset, w, base) for w in val]
     samples = [(obs, tps_at(w, base)) for w, obs in zip(train, train_obs)]
     selection = select_features_cv(samples, config.rng_seed,
                                    folds=config.lasso_folds)
@@ -234,9 +227,9 @@ def _prepare_base(config: ExperimentConfig, wset: WorkloadSet,
         val_obs=val_obs)
 
 
-def _fit_point(config: ExperimentConfig, data: _BaseData,
-               k: int) -> tuple[SurfaceClustering, list[float]]:
-    """Cluster + classify at one (k, base) point; per-workload errors."""
+def _cluster_and_classify(config: ExperimentConfig, data: _BaseData,
+                          k: int) -> tuple[SurfaceClustering, SurfaceClassifier]:
+    """Cluster the training surfaces into k groups, then fit the classifier."""
     clustering = cluster_surfaces(data.train_surfaces, k, config.rng_seed)
     training = list(zip(data.train_obs, clustering.assignments))
     classifier = train_classifier(
@@ -244,41 +237,35 @@ def _fit_point(config: ExperimentConfig, data: _BaseData,
         rng_seed=config.rng_seed, n_classes=clustering.k,
         hidden=config.mlp_hidden, step=config.mlp_step,
         epochs=config.mlp_epochs)
+    return clustering, classifier
+
+
+def _fit_point(config: ExperimentConfig, data: _BaseData, k: int) -> list[float]:
+    """Cluster + classify at one (k, base) point; per-workload errors."""
+    clustering, classifier = _cluster_and_classify(config, data, k)
     errors = []
     for obs, actual in zip(data.val_obs, data.val_surfaces):
         predicted = clustering.centroids[classifier.predict(obs)]
         errors.append(surface_error(predicted, actual))
-    return clustering, errors
+    return errors
 
 
-def train_bundle(config: ExperimentConfig, wset: WorkloadSet | None = None,
-                 extra_bases: Iterable[ResourceSpec] = ()) -> ModelBundle:
+def train_bundle(config: ExperimentConfig,
+                 wset: WorkloadSet | None = None) -> ModelBundle:
     """Fit the full offline model at the configured base config.
 
-    Clustering and feature selection happen once at config.base_spec;
-    extra_bases get their own classifiers against the same clustering,
-    for callers that observe workloads deployed elsewhere.
+    Feature selection, clustering and the one classifier all happen at
+    config.base_spec, so the bundle predicts only for workloads
+    observed there.
     """
     if wset is None:
         wset = build_workload_set(config)
     train_ids, val_ids = split_train_val(config)
     data = _prepare_base(config, wset, train_ids, val_ids, config.base_spec)
-    clustering = cluster_surfaces(data.train_surfaces, config.k, config.rng_seed)
-    classifiers = {}
-    for base in [config.base_spec, *extra_bases]:
-        if base.key in classifiers:
-            continue
-        obs = (data.train_obs if base == config.base_spec
-               else [_observe(config, wset.workload_by_id(i), base)
-                     for i in train_ids])
-        training = list(zip(obs, clustering.assignments))
-        classifiers[base.key] = train_classifier(
-            training, base, data.selection, kind=config.classifier,
-            rng_seed=config.rng_seed, n_classes=clustering.k,
-            hidden=config.mlp_hidden, step=config.mlp_step,
-            epochs=config.mlp_epochs)
+    clustering, classifier = _cluster_and_classify(config, data, config.k)
     return ModelBundle(region=wset.region, selection=data.selection,
-                       clustering=clustering, classifiers=classifiers,
+                       clustering=clustering,
+                       classifiers={config.base_spec.key: classifier},
                        training_workload_ids=tuple(train_ids),
                        validation_workload_ids=tuple(val_ids),
                        seed=config.rng_seed)
@@ -311,7 +298,7 @@ def evaluate_validation(config: ExperimentConfig,
     errors = []
     for wid in bundle.validation_workload_ids:
         w = wset.workload_by_id(wid)
-        predicted = bundle.predict(base, _observe(config, w, base))
+        predicted = bundle.predict(base, _observe(config, wset, w, base))
         err = surface_error(predicted, w.ground_truth_surface.rebase(base))
         errors.append(err)
         rows.append({"workload_id": wid, "error": err,
@@ -361,7 +348,8 @@ def run_scenario1(config: ExperimentConfig,
     rows = []
     for wid in bundle.validation_workload_ids:
         w = wset.workload_by_id(wid)
-        predicted = bundle.predict(config.base_spec, _observe(config, w, config.base_spec))
+        predicted = bundle.predict(config.base_spec,
+                                   _observe(config, wset, w, config.base_spec))
         truth = w.ground_truth_surface
         for factor in config.scale_factors:
             request = PlanningRequest(policy="scale-up", current_spec=origin,
@@ -434,7 +422,8 @@ def run_scenario2(config: ExperimentConfig,
     rows = []
     for wid in bundle.validation_workload_ids:
         w = wset.workload_by_id(wid)
-        predicted = bundle.predict(config.base_spec, _observe(config, w, config.base_spec))
+        predicted = bundle.predict(config.base_spec,
+                                   _observe(config, wset, w, config.base_spec))
         truth = w.ground_truth_surface
         request = PlanningRequest(policy="scale-down", current_spec=origin,
                                   performance_tolerance=config.epsilon,
@@ -490,7 +479,7 @@ def _draw_tenants(config: ExperimentConfig, wset: WorkloadSet,
                   trial: int) -> list[Workload]:
     rng = np.random.default_rng(
         np.random.SeedSequence([config.rng_seed, 19, trial]))
-    references = stress_reference_tracks(config.constants)
+    references = stress_reference_tracks(wset.constants)
     # Tenants are instances of the workload set, so the archetype mix is
     # near-uniform: every archetype appears floor(T/A) or ceil(T/A)
     # times. Arrival order, origin specs, and jitter stay random.
@@ -539,10 +528,7 @@ def run_colocation(config: ExperimentConfig,
         wset = build_workload_set(config)
     if bundle is None:
         bundle = train_bundle(config, wset)
-    references = stress_reference_tracks(config.constants)
-    estimator_cfg = EstimatorConfig(levels=config.constants.levels,
-                                    iops_scaler=config.constants.iops_per_level,
-                                    reference_tracks=references)
+    references = stress_reference_tracks(wset.constants)
     rows = []
     for trial in range(config.trials):
         tenants = _draw_tenants(config, wset, trial)
@@ -553,16 +539,16 @@ def run_colocation(config: ExperimentConfig,
             for w in tenants:
                 sid = f"t{trial}-w{w.workload_id:02d}"
                 predicted = bundle.predict(
-                    config.base_spec, _observe(config, w, config.base_spec))
+                    config.base_spec, _observe(config, wset, w, config.base_spec))
                 request = PlanningRequest(policy="scale-down",
                                           current_spec=w.origin_spec,
                                           performance_tolerance=config.epsilon,
                                           cost_weights=config.cost_weights)
                 rec = plan_capacity(request, predicted)
-                probe = probe_for(w, rec, config.constants,
+                probe = probe_for(w, rec, wset.constants,
                                   noise_sigma=config.probe_noise,
                                   seed=w.noise_seed)
-                profile = build_profile(probe, estimator_cfg)
+                profile = build_profile(probe, references)
                 ursa_requests.append((sid, rec, profile))
                 ursa_specs[sid] = rec
             ursa_placements = place(ursa_requests, _fresh_nodes(config),
@@ -585,7 +571,7 @@ def run_colocation(config: ExperimentConfig,
             w = by_id[p.workload_id]
             spec = ursa_specs[p.workload_id]
             ursa_tenants.append((p.workload_id, p.node_id, spec,
-                                 true_profile_at(w, spec, config.constants,
+                                 true_profile_at(w, spec, wset.constants,
                                                  references)))
         lrp_tenants = [(p.workload_id, p.node_id, by_id[p.workload_id].origin_spec,
                         by_id[p.workload_id].ground_truth_profile)
@@ -646,7 +632,7 @@ def run_hyperparam_sweep(config: ExperimentConfig,
     for base in bases:
         data = _prepare_base(config, wset, train_ids, val_ids, base)
         for k in ks:
-            _, errors = _fit_point(config, data, int(k))
+            errors = _fit_point(config, data, int(k))
             rows.append({
                 "k": int(k),
                 "base": base.key,
@@ -672,7 +658,7 @@ def run_loocv(config: ExperimentConfig,
         train_ids = [i for i in all_ids if i != held]
         data = _prepare_base(config, wset, train_ids, [held], config.base_spec)
         k = min(config.k, len(train_ids))
-        _, errors = _fit_point(config, data, k)
+        errors = _fit_point(config, data, k)
         rows.append({"workload_id": held, "error": errors[0],
                      "archetype_id": wset.workload_by_id(held).archetype_id})
     errs = [r["error"] for r in rows]

@@ -7,13 +7,14 @@ indexes into a concrete resource recommendation:
    indexes that actually carry performance signal.
 2. K-means groups the training workloads' scaling surfaces; each
    cluster's centroid surface is the representative for its members.
-3. A classifier maps selected, standardized index features to a
-   cluster id, one classifier per observation base config.
+3. A classifier maps selected, standardized index features, observed
+   at the bundle's base config, to a cluster id.
 4. The predicted surface is scanned exhaustively for the cheapest
    grid config meeting a scale-up target or a scale-down tolerance.
 
-Everything is deterministic given explicit seeds, trains in well under
-a second at desk scale, and serializes to a single JSON bundle.
+Everything is deterministic given explicit seeds and serializes to a
+single JSON bundle. Training at desk scale takes a few seconds, nearly
+all of it in the Lasso cross-validation.
 """
 
 from __future__ import annotations
@@ -430,8 +431,12 @@ class SurfaceClassifier:
     @classmethod
     def from_json(cls, obj: dict) -> "SurfaceClassifier":
         kind = str(obj["kind"])
-        model = (_Mlp.from_json(obj["model"]) if kind == "mlp"
-                 else _NearestCentroid.from_json(obj["model"]))
+        if kind == "mlp":
+            model = _Mlp.from_json(obj["model"])
+        elif kind == "nearest_centroid":
+            model = _NearestCentroid.from_json(obj["model"])
+        else:
+            raise ValueError(f"unknown classifier kind {kind!r}")
         return cls(base_spec=ResourceSpec.from_json(obj["base_spec"]), kind=kind,
                    selection=FeatureSelection.from_json(obj["selection"]),
                    mean=tuple(float(v) for v in obj["mean"]),

@@ -110,7 +110,6 @@ class NodeState:
 class ScheduleConfig:
     policy: str = POLICY_URSA
     scaler: float = DEFAULT_SCALER
-    usage_post_placement: bool = True
 
     def __post_init__(self) -> None:
         if self.policy not in (POLICY_URSA, POLICY_LRP):
@@ -130,18 +129,22 @@ class Placement:
                 "score": self.score}
 
 
-def contention_risk(node: NodeState, scaler: float = DEFAULT_SCALER) -> float:
+def contention_risk(node: NodeState, scaler: float = DEFAULT_SCALER,
+                    incoming: InterferenceProfile = InterferenceProfile.zero()) -> float:
     """Amplified pressure-sensitivity product summed over shared resources.
 
     Per resource: (max sensitivity among tenants) * (summed pressure)
-    * scaler ** (summed pressure). Zero for an empty node.
+    * scaler ** (summed pressure), over the node's tenants plus
+    `incoming`. The default zero profile adds nothing to either term,
+    so an empty node scores zero.
     """
     if not scaler > 1.0:
         raise ValueError("scaler must be > 1")
     total = 0.0
     for resource in SharedResource:
-        sum_p = node.sum_pressure(resource)
-        max_s = node.max_sensitivity(resource)
+        ps = incoming.get(resource)
+        sum_p = node.sum_pressure(resource) + ps.pressure
+        max_s = max(node.max_sensitivity(resource), ps.sensitivity)
         total += max_s * sum_p * scaler ** sum_p
     return total
 
@@ -151,27 +154,16 @@ def score_node(node: NodeState, spec: ResourceSpec, profile: InterferenceProfile
     """Score the hypothetical state of `node` after placing the workload.
 
     Lower is better: contention risk of the combined tenant set times
-    the node's average utilization fraction. Utilization is taken after
-    the placement by default; set usage_post_placement=False to score
-    against the current utilization instead.
+    the node's average utilization fraction, both taken after the
+    placement.
     """
     if not node.fits(spec):
         raise CapacityExhaustedError(
             f"spec {spec.key} does not fit on node {node.node_id}")
-    risk = 0.0
-    for resource in SharedResource:
-        ps = profile.get(resource)
-        sum_p = node.sum_pressure(resource) + ps.pressure
-        max_s = max(node.max_sensitivity(resource), ps.sensitivity)
-        risk += max_s * sum_p * config.scaler ** sum_p
-    if config.usage_post_placement:
-        used_c = node.used_cores + spec.cores
-        used_m = node.used_memory_gb + spec.memory_gb
-    else:
-        used_c = node.used_cores
-        used_m = node.used_memory_gb
-    usage_ave = 0.5 * (used_c / node.capacity.cores
-                       + used_m / node.capacity.memory_gb)
+    risk = contention_risk(node, config.scaler, profile)
+    usage_ave = 0.5 * ((node.used_cores + spec.cores) / node.capacity.cores
+                       + (node.used_memory_gb + spec.memory_gb)
+                       / node.capacity.memory_gb)
     return risk * usage_ave
 
 
@@ -190,10 +182,17 @@ def place(requests: Iterable[tuple[str, ResourceSpec, InterferenceProfile]],
     Mutates the chosen node's state after every placement so later
     requests see the updated cluster. Ties break toward the lowest
     node id. Raises CapacityExhaustedError when no node can hold a
-    request.
+    request, and ValueError, before any node is touched, when two
+    requests share a workload id.
     """
     if len({n.node_id for n in nodes}) != len(nodes):
         raise ValueError("node ids must be unique")
+    requests = list(requests)
+    seen = set()
+    for workload_id, _, _ in requests:
+        if workload_id in seen:
+            raise ValueError(f"duplicate workload id {workload_id!r}")
+        seen.add(workload_id)
     placements: list[Placement] = []
     for workload_id, spec, profile in requests:
         feasible = [n for n in nodes if n.fits(spec)]

@@ -45,6 +45,7 @@ from .core import (
     PressureSensitivity,
     ResourceSpec,
     ScalingSurface,
+    SharedResource,
     SystemIndexVector,
     INDEX_NAMES,
     write_json,
@@ -55,6 +56,7 @@ from .estimator import (
     SimulatedProbe,
     match_pressure,
     pressure_level,
+    rate_capacity,
     stress_reference_tracks,
     ways_to_level,
 )
@@ -172,10 +174,6 @@ class WorkloadArchetype:
     archetype_id: int
     family: str
     params: ArchetypeParams
-
-    def index_signature(self, spec: ResourceSpec, region: ConfigRegion,
-                        constants: NodeConstants) -> np.ndarray:
-        return _signature(self.params, region, constants, spec)
 
     def to_json(self) -> dict:
         return {"archetype_id": self.archetype_id, "family": self.family,
@@ -343,9 +341,7 @@ def true_profile_at(workload: Workload, spec: ResourceSpec,
         reference_tracks = stress_reference_tracks(constants)
 
     w = constants.llc_ways
-    track = KmpsTrack(tuple(
-        a * f.kmps_base * (1.0 + f.demand_slope * max(0.0, f.demand_ways - ways))
-        for ways in range(1, w + 1)))
+    track = KmpsTrack(tuple(a * f.kmps_at(ways) for ways in range(1, w + 1)))
     p_llc = match_pressure(track, reference_tracks)
     if a * f.kmps_base > 0 and f.demand_slope > 0:
         crossing = math.floor(f.demand_ways - DEGRADATION_THRESHOLD / f.demand_slope)
@@ -354,15 +350,15 @@ def true_profile_at(workload: Workload, spec: ResourceSpec,
         s_ways = 0
     llc = PressureSensitivity(p_llc, ways_to_level(s_ways, w, n))
 
-    def rate_entry(usage: float, physical: float, sens: int) -> PressureSensitivity:
+    def rate_entry(resource: SharedResource, usage: float, sens: int) -> PressureSensitivity:
+        physical = rate_capacity(constants, resource)
         return PressureSensitivity(pressure_level(usage, physical, n),
                                    sens if usage > 0 else 0)
 
-    membw = rate_entry(a * f.membw_gbps, constants.phy_membw_gbps, f.sens_membw)
-    disk = rate_entry(a * f.iops, n * constants.iops_per_level, f.sens_disk)
-    network = rate_entry(a * f.network_gbps, constants.phy_network_gbps, f.sens_network)
+    membw = rate_entry(SharedResource.MEMORY_BANDWIDTH, a * f.membw_gbps, f.sens_membw)
+    disk = rate_entry(SharedResource.DISK, a * f.iops, f.sens_disk)
+    network = rate_entry(SharedResource.NETWORK, a * f.network_gbps, f.sens_network)
     return InterferenceProfile(llc=llc, membw=membw, disk=disk, network=network)
-
 
 
 def probe_for(workload: Workload, spec: ResourceSpec, constants: NodeConstants,
@@ -548,13 +544,6 @@ def generate_workloads(archetypes: list[WorkloadArchetype], count: int, rng_seed
             archetype, workload_id, noise_seed, origin, region, constants,
             base_spec, surface_noise, footprint_noise, references))
     return workloads
-
-
-def with_origin(workload: Workload, origin: ResourceSpec,
-                constants: NodeConstants, reference_tracks=None) -> Workload:
-    """Copy of the workload as if it arrived at a different origin spec."""
-    profile = true_profile_at(workload, origin, constants, reference_tracks)
-    return replace(workload, origin_spec=origin, ground_truth_profile=profile)
 
 
 @dataclass(frozen=True)

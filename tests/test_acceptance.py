@@ -25,7 +25,6 @@ from capsched.core import (
     canonical_json,
 )
 from capsched.estimator import (
-    EstimatorConfig,
     build_profile,
     stress_reference_tracks,
 )
@@ -177,11 +176,11 @@ def test_criterion_5_estimator_recovery():
     archetypes = generate_archetypes(20, rng_seed=77, constants=constants)
     workloads = generate_workloads(archetypes, 100, rng_seed=77, region=region,
                                    constants=constants, base_spec=base)
-    config = EstimatorConfig.for_constants(constants)
+    tracks = stress_reference_tracks(constants)
     n = constants.levels
     for w in workloads:
         probe = probe_for(w, w.origin_spec, constants)
-        recovered = build_profile(probe, config)
+        recovered = build_profile(probe, tracks)
         truth = w.ground_truth_profile
         for attr in ("llc", "membw", "disk", "network"):
             got = getattr(recovered, attr)
@@ -250,7 +249,7 @@ def _run_cli_chain(root):
 
     wset = build_workload_set(config)
     vec = observe_indexes(wset.workload_by_id(0), config.base_spec,
-                          config.noise_sigma, config.constants)
+                          config.noise_sigma, wset.constants)
     (root / "indexes.json").write_text(
         canonical_json({"indexes": vec.to_json()}), encoding="utf-8")
 

@@ -32,7 +32,7 @@ def workdir(tmp_path_factory):
 
     wset = build_workload_set(TINY)
     w = wset.workload_by_id(0)
-    vec = observe_indexes(w, TINY.base_spec, TINY.noise_sigma, TINY.constants)
+    vec = observe_indexes(w, TINY.base_spec, TINY.noise_sigma, wset.constants)
     (root / "indexes.json").write_text(
         canonical_json({"indexes": vec.to_json()}), encoding="utf-8")
     return root
@@ -122,6 +122,20 @@ def test_plan_reports_infeasible_with_exit_2(workdir):
     assert plan["best_speedup"] < 50
 
 
+def test_plan_rejects_non_object_indexes_with_exit_1(workdir, tmp_path):
+    listed = tmp_path / "indexes.json"
+    listed.write_text("[1, 2, 3]")
+    args, out = _cfg_args(workdir, "plan_listed")
+    rc, _, stderr = _run(
+        "plan", *args,
+        "--bundle", str(workdir / "train" / "bundle.json"),
+        "--indexes", str(listed), "--current", "1c2g")
+    assert rc == 1
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert "JSON object" in stderr
+    assert not (out / "plan.json").exists()
+
+
 def test_schedule_places_every_request(workdir):
     args, out = _cfg_args(workdir, "schedule")
     rc, stdout, _ = _run(
@@ -147,6 +161,18 @@ def test_schedule_exhausted_cluster_exits_2(workdir, tmp_path):
         "--nodes", str(nodes))
     assert rc == 2
     assert "capacity exhausted" in stderr
+
+
+def test_schedule_rejects_duplicate_ids_with_exit_1(workdir, tmp_path):
+    profiles = json.loads((workdir / "estimate" / "profiles.json").read_text())
+    profiles["profiles"].append(profiles["profiles"][0])
+    requests = tmp_path / "profiles.json"
+    requests.write_text(json.dumps(profiles))
+    args, out = _cfg_args(workdir, "schedule_duplicate")
+    rc, _, stderr = _run("schedule", *args, "--requests", str(requests))
+    assert rc == 1
+    assert stderr == "error: duplicate workload id 0\n"
+    assert not (out / "placements.jsonl").exists()
 
 
 def test_simulate_scores_placements(workdir):

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -157,3 +158,13 @@ def test_canonical_json_is_sorted_and_newline_terminated():
     assert text.index('"a"') < text.index('"b"')
     assert json.loads(text) == {"b": 1, "a": {"d": 2, "c": 3}}
     assert canonical_json({"b": 1, "a": {"d": 2, "c": 3}}) == text
+
+
+@pytest.mark.parametrize("module", ["core", "estimator", "planner", "workload_synth"])
+def test_module_exports_resolve(module):
+    mod = importlib.import_module(f"capsched.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec(f"from capsched.{module} import *", namespace)
+    assert set(mod.__all__) <= set(namespace)

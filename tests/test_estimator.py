@@ -4,17 +4,14 @@ import pytest
 
 from capsched.core import KmpsTrack, NodeConstants, SharedResource
 from capsched.estimator import (
-    EstimatorConfig,
     ResourceFootprint,
     SimulatedProbe,
     build_profile,
     llc_sensitivity_ways,
     match_pressure,
     pressure_level,
-    quantify_disk,
     quantify_llc,
-    quantify_membw,
-    quantify_network,
+    quantify_rate,
     stress_reference_tracks,
     tracks_from_json,
     tracks_to_json,
@@ -96,11 +93,11 @@ def test_quantify_rate_resources_worked_examples():
     fp = _footprint(membw_gbps=4.5, iops=4500.0, network_gbps=4.4,
                     sens_membw=7, sens_disk=12, sens_network=0)
     probe = SimulatedProbe(CONSTANTS, fp)
-    membw = quantify_membw(probe, 20)
+    membw = quantify_rate(probe, SharedResource.MEMORY_BANDWIDTH)
     assert (membw.pressure, membw.sensitivity) == (5, 7)
-    disk = quantify_disk(probe, 20, CONSTANTS.iops_per_level)
+    disk = quantify_rate(probe, SharedResource.DISK)
     assert (disk.pressure, disk.sensitivity) == (5, 12)
-    net = quantify_network(probe, 20)
+    net = quantify_rate(probe, SharedResource.NETWORK)
     assert net.pressure == pressure_level(4.4, 25.0, 20) == 4
     assert net.sensitivity == 0
 
@@ -119,15 +116,16 @@ def test_sensitivity_recovered_exactly_across_levels():
         fp = _footprint(membw_gbps=6.0, iops=2000.0, network_gbps=3.0,
                         sens_membw=sens, sens_disk=sens, sens_network=sens)
         probe = SimulatedProbe(CONSTANTS, fp)
-        assert quantify_membw(probe, 20).sensitivity == sens
-        assert quantify_disk(probe, 20, 1000.0).sensitivity == sens
-        assert quantify_network(probe, 20).sensitivity == sens
+        for resource in (SharedResource.MEMORY_BANDWIDTH, SharedResource.DISK,
+                         SharedResource.NETWORK):
+            assert quantify_rate(probe, resource).sensitivity == sens
 
 
 def test_activity_scales_pressure_not_sensitivity():
     fp = _footprint(membw_gbps=9.0, sens_membw=8)
-    full = quantify_membw(SimulatedProbe(CONSTANTS, fp, activity=1.0), 20)
-    half = quantify_membw(SimulatedProbe(CONSTANTS, fp, activity=0.5), 20)
+    membw = SharedResource.MEMORY_BANDWIDTH
+    full = quantify_rate(SimulatedProbe(CONSTANTS, fp, activity=1.0), membw)
+    half = quantify_rate(SimulatedProbe(CONSTANTS, fp, activity=0.5), membw)
     assert full.pressure == 9
     assert half.pressure == 5  # round_half_up(4.5)
     assert full.sensitivity == half.sensitivity == 8
@@ -137,10 +135,11 @@ def test_build_profile_composes_per_resource_estimates():
     fp = _footprint(kmps_base=300.0, demand_ways=8.0, demand_slope=0.08,
                     membw_gbps=4.5, iops=4500.0, network_gbps=4.4,
                     sens_membw=7, sens_disk=12, sens_network=3)
-    config = EstimatorConfig.for_constants(CONSTANTS)
-    profile = build_profile(SimulatedProbe(CONSTANTS, fp), config)
+    tracks = stress_reference_tracks(CONSTANTS)
+    profile = build_profile(SimulatedProbe(CONSTANTS, fp), tracks)
+    assert profile == build_profile(SimulatedProbe(CONSTANTS, fp))
     assert profile.get(SharedResource.LLC) == quantify_llc(
-        SimulatedProbe(CONSTANTS, fp), config.reference_tracks)
+        SimulatedProbe(CONSTANTS, fp), tracks)
     assert profile.get(SharedResource.MEMORY_BANDWIDTH).pressure == 5
     assert profile.get(SharedResource.DISK).sensitivity == 12
     assert profile.get(SharedResource.NETWORK).sensitivity == 3

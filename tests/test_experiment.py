@@ -78,7 +78,7 @@ def test_bundle_predicts_cluster_centroids(small_config, small_wset, small_bundl
     for wid in small_bundle.validation_workload_ids:
         w = small_wset.workload_by_id(wid)
         vec = observe_indexes(w, small_config.base_spec,
-                              small_config.noise_sigma, small_config.constants)
+                              small_config.noise_sigma, small_wset.constants)
         predicted = small_bundle.predict(small_config.base_spec, vec)
         assert canonical_json(predicted.to_json()) in centroids
 

@@ -187,6 +187,16 @@ def test_classifier_roundtrip_preserves_predictions():
     assert canonical_json(clone.to_json()) == canonical_json(clf.to_json())
 
 
+def test_classifier_from_json_rejects_unknown_kind():
+    clf = train_classifier(_blob_training(), BASE, _FULL_SELECTION,
+                           kind="nearest_centroid")
+    obj = clf.to_json()
+    assert type(clf).from_json(obj).kind == "nearest_centroid"
+    obj["kind"] = "svm"
+    with pytest.raises(ValueError, match="unknown classifier kind 'svm'"):
+        type(clf).from_json(obj)
+
+
 def test_train_classifier_validates_inputs():
     training = _blob_training()
     with pytest.raises(ValueError):

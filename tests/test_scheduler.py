@@ -50,6 +50,11 @@ def test_contention_risk_sums_resources():
     node.add("a", ResourceSpec(8, 16), _profile(llc=(1, 2), membw=(3, 1)))
     node.add("b", ResourceSpec(8, 16), _profile(llc=(2, 1), membw=(2, 1)))
     assert contention_risk(node) == pytest.approx(16.03855, abs=1e-12)
+    # an incoming tenant counts as if it were already deployed
+    lone = _node()
+    lone.add("a", ResourceSpec(8, 16), _profile(llc=(1, 2), membw=(3, 1)))
+    incoming = _profile(llc=(2, 1), membw=(2, 1))
+    assert contention_risk(lone, incoming=incoming) == contention_risk(node)
 
 
 def test_contention_risk_empty_node_is_zero():
@@ -66,16 +71,6 @@ def test_score_node_weighs_risk_by_post_placement_usage():
     # usage after placement (48/96 cores, 64/256 memory) averages 0.375
     score = score_node(node, ResourceSpec(24, 32), incoming)
     assert score == pytest.approx(16.03855 * 0.375, abs=1e-12)
-
-
-def test_score_node_pre_placement_usage_option():
-    node = _node()
-    incoming = _profile(llc=(2, 2))
-    post = score_node(node, ResourceSpec(24, 32), incoming)
-    pre = score_node(node, ResourceSpec(24, 32), incoming,
-                     ScheduleConfig(usage_post_placement=False))
-    assert post > 0.0
-    assert pre == 0.0  # empty node contributes zero current utilization
 
 
 def test_score_node_strictly_penalizes_extra_pressure_and_sensitivity():
@@ -161,6 +156,14 @@ def test_place_raises_when_nothing_fits():
         place([("big", ResourceSpec(12, 8), InterferenceProfile.zero())], nodes)
     with pytest.raises(ValueError):
         place([], [_node(0), _node(0)])
+    # duplicate workload ids are refused before any node is touched
+    nodes = [_node(0), _node(1)]
+    twice = [("a", ResourceSpec(8, 16), InterferenceProfile.zero()),
+             ("b", ResourceSpec(8, 16), InterferenceProfile.zero()),
+             ("a", ResourceSpec(8, 16), InterferenceProfile.zero())]
+    with pytest.raises(ValueError, match="duplicate workload id 'a'"):
+        place(twice, nodes)
+    assert all(n.deployed == [] and n.used_cores == 0 for n in nodes)
 
 
 def test_node_add_rejects_overflow_and_tracks_free():

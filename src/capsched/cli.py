@@ -140,6 +140,9 @@ def cmd_plan(args) -> int:
     config = _config_from_args(args)
     out = _out_dir(args)
     bundle = ModelBundle.load(args.bundle)
+    if bundle.base_spec != config.base_spec:
+        raise ValueError(f"config base {config.base_spec.key} differs from "
+                         f"the bundle's base {bundle.base_spec.key}")
     raw = _load_json(args.indexes)
     if isinstance(raw, dict):
         raw = raw.get("indexes", raw)
@@ -152,7 +155,7 @@ def cmd_plan(args) -> int:
                               target_speedup=args.target,
                               performance_tolerance=tolerance,
                               cost_weights=config.cost_weights)
-    surface = bundle.predict(config.base_spec, indexes)
+    surface = bundle.predict(indexes)
     record = {
         "schema": "plan/v1",
         "policy": args.policy,
@@ -205,27 +208,37 @@ def cmd_estimate(args) -> int:
 def _load_requests(path) -> list[tuple[str, ResourceSpec, InterferenceProfile]]:
     raw = _load_json(path)
     rows = raw.get("requests", raw.get("profiles")) if isinstance(raw, dict) else raw
-    if rows is None:
-        raise ValueError("requests file needs a 'requests' or 'profiles' list")
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: requests file needs a 'requests' or 'profiles' list")
     out = []
-    for row in rows:
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}: request row {i} is not a JSON object")
+        for key in ("workload_id", "spec", "profile"):
+            if key not in row:
+                raise ValueError(f"{path}: request row {i} has no {key!r}")
         out.append((row["workload_id"], ResourceSpec.from_json(row["spec"]),
                     InterferenceProfile.from_json(row["profile"])))
     return out
 
 
 def _load_nodes(args, config: ExperimentConfig) -> list[NodeState]:
-    if getattr(args, "nodes", None):
-        raw = _load_json(args.nodes)
-        if "nodes" in raw:
-            return [NodeState.from_json(n) for n in raw["nodes"]]
+    if not args.nodes:
+        cap = ResourceSpec(config.node_cores, config.node_memory_gb)
+        return [NodeState(node_id=i, capacity=cap)
+                for i in range(config.cluster_nodes)]
+    raw = _load_json(args.nodes)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{args.nodes}: node inventory must be a JSON object")
+    if "nodes" in raw:
+        nodes = [NodeState.from_json(n) for n in raw["nodes"]]
+    else:
         cap = ResourceSpec(int(raw.get("cores", config.node_cores)),
                            int(raw.get("memory_gb", config.node_memory_gb)))
-        return [NodeState(node_id=i, capacity=cap)
-                for i in range(int(raw["count"]))]
-    cap = ResourceSpec(config.node_cores, config.node_memory_gb)
-    return [NodeState(node_id=i, capacity=cap)
-            for i in range(config.cluster_nodes)]
+        nodes = [NodeState(node_id=i, capacity=cap) for i in range(int(raw["count"]))]
+    if not nodes:
+        raise ValueError(f"{args.nodes}: node inventory is empty")
+    return nodes
 
 
 def cmd_schedule(args) -> int:
@@ -251,6 +264,16 @@ def cmd_schedule(args) -> int:
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
     out = _out_dir(args)
+    # The simulator's cluster has one capacity and starts empty.
+    nodes = _load_nodes(args, config)
+    cap = nodes[0].capacity
+    if (sorted(n.node_id for n in nodes) != list(range(len(nodes)))
+            or any(n.capacity != cap or n.deployed or n.used_cores
+                   or n.used_memory_gb for n in nodes)):
+        raise ValueError(f"{args.nodes}: simulate needs empty nodes 0..n-1 "
+                         "of one capacity")
+    cluster = replace(config.cluster_spec, nodes=len(nodes), node_cores=cap.cores,
+                      node_memory_gb=cap.memory_gb)
     requests = {wid: (spec, profile)
                 for wid, spec, profile in _load_requests(args.requests)}
     tenants = []
@@ -265,9 +288,6 @@ def cmd_simulate(args) -> int:
                 raise ValueError(f"placement for unknown workload {wid!r}")
             spec, profile = requests[wid]
             tenants.append((wid, int(row["node_id"]), spec, profile))
-    cluster = config.cluster_spec
-    if args.nodes_count is not None:
-        cluster = replace(cluster, nodes=args.nodes_count)
     report = simulate_colocated(tenants, cluster)
     write_json(out / "simulation.json",
                {"schema": "simulation-report/v1", **report.to_json()})
@@ -288,7 +308,8 @@ def _emit_report(out: Path, name: str, report, csv_columns=None) -> None:
 def cmd_scenario1(args) -> int:
     config = _config_from_args(args)
     out = _out_dir(args)
-    report = run_scenario1(config, _load_or_generate(args, config))
+    wset = _load_or_generate(args, config)
+    report = run_scenario1(config, wset, train_bundle(config, wset))
     _emit_report(out, "scenario1", report)
     s = report.summary
     print(f"scenario1: {s['optimal']}/{s['feasible']} optimal, "
@@ -300,7 +321,8 @@ def cmd_scenario1(args) -> int:
 def cmd_scenario2(args) -> int:
     config = _config_from_args(args)
     out = _out_dir(args)
-    report = run_scenario2(config, _load_or_generate(args, config))
+    wset = _load_or_generate(args, config)
+    report = run_scenario2(config, wset, train_bundle(config, wset))
     _emit_report(out, "scenario2", report)
     s = report.summary
     print(f"scenario2: {s['preserved']}/{s['workloads']} preserved, "
@@ -312,7 +334,8 @@ def cmd_scenario2(args) -> int:
 def cmd_colocate(args) -> int:
     config = _config_from_args(args)
     out = _out_dir(args)
-    report = run_colocation(config, _load_or_generate(args, config))
+    wset = _load_or_generate(args, config)
+    report = run_colocation(config, wset, train_bundle(config, wset))
     _emit_report(out, "colocation", report)
     s = report.summary
     print(f"colocate: {s['unfairness_wins']}/{s['trials'] - s['aborted']} "
@@ -424,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--placements", required=True, help="placements JSONL")
     p.add_argument("--requests", required=True,
                    help="JSON with per-workload spec and profile")
-    p.add_argument("--nodes-count", type=int,
-                   help="override the cluster node count")
+    p.add_argument("--nodes", help="node inventory JSON, as for schedule "
+                                   "(default: config)")
     p.set_defaults(func=cmd_simulate)
 
     for name, func, extra in [

@@ -266,31 +266,13 @@ class ScalingSurface:
                    speedups=speedups)
 
 
-# System-level index names, fixed order. These are the observable
-# per-workload counters a deployed database exposes without any
-# application-level instrumentation.
-INDEX_NAMES = (
-    "ipc",
-    "dtlb_store_misses",
-    "cache_misses",
-    "node_stores",
-    "io_read_bytes",
-    "io_serviced_read",
-    "memory_usage",
-    "cpu_usage",
-    "page_fault",
-    "dtlb_load_misses",
-    "cache_references",
-    "node_loads",
-    "io_write_bytes",
-    "io_serviced_write",
-    "dirty_memory",
-)
-
-
 @dataclass(frozen=True)
 class SystemIndexVector:
-    """One observation of the 15 system-level indexes."""
+    """One observation of the 15 system-level indexes, in a fixed order.
+
+    These are the observable per-workload counters a deployed database
+    exposes without any application-level instrumentation.
+    """
 
     ipc: float
     dtlb_store_misses: float
@@ -332,6 +314,9 @@ class SystemIndexVector:
     @classmethod
     def from_json(cls, obj: dict) -> "SystemIndexVector":
         return cls(**{n: float(obj[n]) for n in INDEX_NAMES})
+
+
+INDEX_NAMES = tuple(f.name for f in fields(SystemIndexVector))
 
 
 class SharedResource(enum.Enum):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,8 +32,6 @@ from .planner import (
     DEFAULT_EPSILON,
     DEFAULT_K,
     MLP_EPOCHS,
-    MLP_HIDDEN,
-    MLP_STEP,
     FeatureSelection,
     ModelBundle,
     PlanningRequest,
@@ -40,6 +39,7 @@ from .planner import (
     SurfaceClustering,
     cluster_surfaces,
     plan_capacity,
+    select_features,
     select_features_cv,
     spec_cost,
     surface_error,
@@ -65,6 +65,26 @@ from .workload_synth import (
 )
 
 
+# JSON types a config value may take, keyed by the type of the field's
+# default; a None default (theta) stands for an optional number.
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"),
+               type(None): ((int, float, type(None)), "a number or null")}
+
+
+def _check_json_type(name: str, value, default) -> None:
+    """Raise ValueError unless value has the JSON type of default."""
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ValueError(f"config key {name!r} needs a list, got {json.dumps(value)}")
+        for i, item in enumerate(value):
+            _check_json_type(f"{name}[{i}]", item, default[0])
+        return
+    accepted, kind = _JSON_TYPES[type(default)]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"config key {name!r} needs {kind}, got {json.dumps(value)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every knob of the desk-scale studies, overridable from JSON."""
@@ -84,10 +104,7 @@ class ExperimentConfig:
     footprint_noise: float = 0.0
     probe_noise: float = 0.0
     classifier: str = "mlp"
-    mlp_hidden: int = MLP_HIDDEN
-    mlp_step: float = MLP_STEP
     mlp_epochs: int = MLP_EPOCHS
-    lasso_folds: int = 5
     cost_weight_cores: float = DEFAULT_COST_WEIGHTS[0]
     cost_weight_memory: float = DEFAULT_COST_WEIGHTS[1]
     epsilon: float = DEFAULT_EPSILON
@@ -105,7 +122,6 @@ class ExperimentConfig:
     origin_cores: tuple[int, int] = (1, 12)
     origin_memory_gb: tuple[int, int] = (2, 16)
     sweep_ks: tuple[int, ...] = tuple(range(2, 31))
-    sweep_bases: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.train_count + self.val_count != self.workload_count:
@@ -120,13 +136,19 @@ class ExperimentConfig:
             raise ValueError(f"unknown classifier {self.classifier!r}")
         if self.trials < 1 or self.tenants_per_trial < 1:
             raise ValueError("trials and tenants_per_trial must be >= 1")
+        for name in ("scenario1_origin", "scenario2_origin", "origin_cores",
+                     "origin_memory_gb"):
+            if len(getattr(self, name)) != 2:
+                raise ValueError(f"{name} must be a pair")
+        # Build the derived objects now, so their own checks run here.
+        self.region, self.base_spec, self.cluster_spec
 
-    @property
+    @cached_property
     def region(self) -> ConfigRegion:
         return ConfigRegion(core_levels=tuple(self.core_levels),
                             memory_levels_gb=tuple(self.memory_levels_gb))
 
-    @property
+    @cached_property
     def base_spec(self) -> ResourceSpec:
         return ResourceSpec(self.base_cores, self.base_memory_gb)
 
@@ -134,7 +156,7 @@ class ExperimentConfig:
     def cost_weights(self) -> tuple[float, float]:
         return (self.cost_weight_cores, self.cost_weight_memory)
 
-    @property
+    @cached_property
     def cluster_spec(self) -> ClusterSpec:
         return ClusterSpec(nodes=self.cluster_nodes, node_cores=self.node_cores,
                            node_memory_gb=self.node_memory_gb,
@@ -144,23 +166,22 @@ class ExperimentConfig:
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = [list(v) if isinstance(v, tuple) else v for v in value]
-            out[f.name] = value
+            out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        known = {f.name: f for f in fields(cls)}
-        unknown = set(obj) - set(known)
+        """Config from a JSON object whose values have their defaults' JSON types."""
+        if not isinstance(obj, dict):
+            raise ValueError("config must be a JSON object")
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(obj) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
         for name, value in obj.items():
-            if isinstance(value, list):
-                value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-            kwargs[name] = value
-        return cls(**kwargs)
+            _check_json_type(name, value, defaults[name])
+        return cls(**{name: tuple(value) if isinstance(value, list) else value
+                      for name, value in obj.items()})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -186,9 +207,11 @@ def build_workload_set(config: ExperimentConfig) -> WorkloadSet:
         footprint_noise=config.footprint_noise)
 
 
-def _observe(config: ExperimentConfig, wset: WorkloadSet, workload: Workload,
-             base: ResourceSpec) -> SystemIndexVector:
-    return observe_indexes(workload, base, config.noise_sigma, wset.constants)
+def _predict(config: ExperimentConfig, wset: WorkloadSet, bundle: ModelBundle,
+             workload: Workload) -> ScalingSurface:
+    """The bundle's surface for a workload observed at the bundle's base."""
+    return bundle.predict(observe_indexes(workload, bundle.base_spec,
+                                          config.noise_sigma, wset.constants))
 
 
 @dataclass
@@ -208,15 +231,15 @@ def _prepare_base(config: ExperimentConfig, wset: WorkloadSet,
                   base: ResourceSpec) -> _BaseData:
     train = [wset.workload_by_id(i) for i in train_ids]
     val = [wset.workload_by_id(i) for i in val_ids]
-    train_obs = [_observe(config, wset, w, base) for w in train]
-    val_obs = [_observe(config, wset, w, base) for w in val]
+    train_obs = [observe_indexes(w, base, config.noise_sigma, wset.constants)
+                 for w in train]
+    val_obs = [observe_indexes(w, base, config.noise_sigma, wset.constants)
+               for w in val]
     samples = [(obs, tps_at(w, base)) for w, obs in zip(train, train_obs)]
-    selection = select_features_cv(samples, config.rng_seed,
-                                   folds=config.lasso_folds)
+    selection = select_features_cv(samples, config.rng_seed)
     if not selection.selected:
         # A base where nothing survives shrinkage still needs a model;
         # fall back to the unpenalized fit, which keeps every feature.
-        from .planner import select_features
         selection = select_features(samples, lam=0.0)
     return _BaseData(
         base=base,
@@ -235,7 +258,6 @@ def _cluster_and_classify(config: ExperimentConfig, data: _BaseData,
     classifier = train_classifier(
         training, data.base, data.selection, kind=config.classifier,
         rng_seed=config.rng_seed, n_classes=clustering.k,
-        hidden=config.mlp_hidden, step=config.mlp_step,
         epochs=config.mlp_epochs)
     return clustering, classifier
 
@@ -250,22 +272,19 @@ def _fit_point(config: ExperimentConfig, data: _BaseData, k: int) -> list[float]
     return errors
 
 
-def train_bundle(config: ExperimentConfig,
-                 wset: WorkloadSet | None = None) -> ModelBundle:
-    """Fit the full offline model at the configured base config.
+def train_bundle(config: ExperimentConfig, wset: WorkloadSet) -> ModelBundle:
+    """Fit the full offline model on wset at the configured base config.
 
     Feature selection, clustering and the one classifier all happen at
-    config.base_spec, so the bundle predicts only for workloads
-    observed there.
+    config.base_spec, which becomes bundle.base_spec: the bundle
+    predicts only for workloads observed there.
     """
-    if wset is None:
-        wset = build_workload_set(config)
     train_ids, val_ids = split_train_val(config)
     data = _prepare_base(config, wset, train_ids, val_ids, config.base_spec)
     clustering, classifier = _cluster_and_classify(config, data, config.k)
     return ModelBundle(region=wset.region, selection=data.selection,
                        clustering=clustering,
-                       classifiers={config.base_spec.key: classifier},
+                       classifier=classifier,
                        training_workload_ids=tuple(train_ids),
                        validation_workload_ids=tuple(val_ids),
                        seed=config.rng_seed)
@@ -285,20 +304,15 @@ class ValidationReport:
                 "rows": list(self.rows)}
 
 
-def evaluate_validation(config: ExperimentConfig,
-                        wset: WorkloadSet | None = None,
-                        bundle: ModelBundle | None = None) -> ValidationReport:
-    """Surface prediction error on the held-out workloads."""
-    if wset is None:
-        wset = build_workload_set(config)
-    if bundle is None:
-        bundle = train_bundle(config, wset)
-    base = config.base_spec
+def evaluate_validation(config: ExperimentConfig, wset: WorkloadSet,
+                        bundle: ModelBundle) -> ValidationReport:
+    """Surface prediction error of bundle on its held-out workloads."""
+    base = bundle.base_spec
     rows = []
     errors = []
     for wid in bundle.validation_workload_ids:
         w = wset.workload_by_id(wid)
-        predicted = bundle.predict(base, _observe(config, wset, w, base))
+        predicted = _predict(config, wset, bundle, w)
         err = surface_error(predicted, w.ground_truth_surface.rebase(base))
         errors.append(err)
         rows.append({"workload_id": wid, "error": err,
@@ -328,28 +342,23 @@ class ScenarioReport:
                 "rows": list(self.rows)}
 
 
-def run_scenario1(config: ExperimentConfig,
-                  wset: WorkloadSet | None = None,
-                  bundle: ModelBundle | None = None) -> ScenarioReport:
+def run_scenario1(config: ExperimentConfig, wset: WorkloadSet,
+                  bundle: ModelBundle) -> ScenarioReport:
     """Scale-up planning for tenants outgrowing a small origin spec.
 
-    Each validation workload sits at the scenario origin and asks for
-    2x and 3x its current throughput. Recommendations come from the
-    predicted surface; oracle answers and satisfaction checks use the
-    ground truth. Requests the truth itself cannot satisfy are
-    recorded as infeasible rather than failed.
+    Each of the bundle's validation workloads, taken from wset, sits at
+    the scenario origin and asks for 2x and 3x its current throughput.
+    Recommendations come from the surface the bundle predicts; oracle
+    answers and satisfaction checks use the ground truth. Requests the
+    truth itself cannot satisfy are recorded as infeasible rather than
+    failed.
     """
-    if wset is None:
-        wset = build_workload_set(config)
-    if bundle is None:
-        bundle = train_bundle(config, wset)
     origin = ResourceSpec(*config.scenario1_origin)
     wset.region.require(origin)
     rows = []
     for wid in bundle.validation_workload_ids:
         w = wset.workload_by_id(wid)
-        predicted = bundle.predict(config.base_spec,
-                                   _observe(config, wset, w, config.base_spec))
+        predicted = _predict(config, wset, bundle, w)
         truth = w.ground_truth_surface
         for factor in config.scale_factors:
             request = PlanningRequest(policy="scale-up", current_spec=origin,
@@ -403,27 +412,22 @@ def run_scenario1(config: ExperimentConfig,
                           summary=summary)
 
 
-def run_scenario2(config: ExperimentConfig,
-                  wset: WorkloadSet | None = None,
-                  bundle: ModelBundle | None = None) -> ScenarioReport:
+def run_scenario2(config: ExperimentConfig, wset: WorkloadSet,
+                  bundle: ModelBundle) -> ScenarioReport:
     """Scale-down planning for tenants parked on an oversized spec.
 
-    Each validation workload sits at the scenario origin; the planner
-    hunts the cheapest spec keeping ground-truth performance within
+    Each of the bundle's validation workloads, taken from wset, sits at
+    the scenario origin; the planner hunts, on the surface the bundle
+    predicts, the cheapest spec keeping ground-truth performance within
     epsilon of the origin's. Aggregate savings and the overshoot
     against the oracle plan are reported.
     """
-    if wset is None:
-        wset = build_workload_set(config)
-    if bundle is None:
-        bundle = train_bundle(config, wset)
     origin = ResourceSpec(*config.scenario2_origin)
     wset.region.require(origin)
     rows = []
     for wid in bundle.validation_workload_ids:
         w = wset.workload_by_id(wid)
-        predicted = bundle.predict(config.base_spec,
-                                   _observe(config, wset, w, config.base_spec))
+        predicted = _predict(config, wset, bundle, w)
         truth = w.ground_truth_surface
         request = PlanningRequest(policy="scale-down", current_spec=origin,
                                   performance_tolerance=config.epsilon,
@@ -511,23 +515,19 @@ def _fresh_nodes(config: ExperimentConfig) -> list[NodeState]:
     return [NodeState(node_id=i, capacity=cap) for i in range(config.cluster_nodes)]
 
 
-def run_colocation(config: ExperimentConfig,
-                   wset: WorkloadSet | None = None,
-                   bundle: ModelBundle | None = None) -> ScenarioReport:
+def run_colocation(config: ExperimentConfig, wset: WorkloadSet,
+                   bundle: ModelBundle) -> ScenarioReport:
     """Head-to-head cluster trials of the two placement pipelines.
 
-    Per trial, one tenant batch is drawn and handed to both arms. The
-    contention-aware arm first right-sizes every tenant within epsilon,
+    Per trial, one tenant batch is drawn from wset's archetypes and
+    handed to both arms. The contention-aware arm first right-sizes
+    every tenant within epsilon on the surface the bundle predicts,
     quantifies its interference profile with probe sweeps at the
     recommended spec, then places by risk score. The baseline keeps
     the requested specs and places by least requested capacity. Both
     deployments run through the same degradation model with
     ground-truth profiles.
     """
-    if wset is None:
-        wset = build_workload_set(config)
-    if bundle is None:
-        bundle = train_bundle(config, wset)
     references = stress_reference_tracks(wset.constants)
     rows = []
     for trial in range(config.trials):
@@ -538,8 +538,7 @@ def run_colocation(config: ExperimentConfig,
             ursa_specs: dict[str, ResourceSpec] = {}
             for w in tenants:
                 sid = f"t{trial}-w{w.workload_id:02d}"
-                predicted = bundle.predict(
-                    config.base_spec, _observe(config, wset, w, config.base_spec))
+                predicted = _predict(config, wset, bundle, w)
                 request = PlanningRequest(policy="scale-down",
                                           current_spec=w.origin_spec,
                                           performance_tolerance=config.epsilon,
@@ -608,26 +607,21 @@ def run_colocation(config: ExperimentConfig,
                           summary=summary)
 
 
-def run_hyperparam_sweep(config: ExperimentConfig,
-                         wset: WorkloadSet | None = None,
+def run_hyperparam_sweep(config: ExperimentConfig, wset: WorkloadSet,
                          ks: Sequence[int] | None = None,
                          bases: Sequence[ResourceSpec] | None = None) -> ScenarioReport:
-    """Validation error across cluster counts and base configs.
+    """Validation error on wset across cluster counts and base configs.
 
+    ks defaults to config.sweep_ks, bases to every spec of the region.
     The feature selection and observations are computed once per base,
     then every k refits the clustering and classifier. Rows carry the
     per-workload errors so any aggregate can be recomputed.
     """
-    if wset is None:
-        wset = build_workload_set(config)
     train_ids, val_ids = split_train_val(config)
     if ks is None:
         ks = [k for k in config.sweep_ks if k <= len(train_ids)]
     if bases is None:
-        if config.sweep_bases is not None:
-            bases = [ResourceSpec(*b) for b in config.sweep_bases]
-        else:
-            bases = wset.region.specs()
+        bases = wset.region.specs()
     rows = []
     for base in bases:
         data = _prepare_base(config, wset, train_ids, val_ids, base)
@@ -647,11 +641,8 @@ def run_hyperparam_sweep(config: ExperimentConfig,
                           summary=summary)
 
 
-def run_loocv(config: ExperimentConfig,
-              wset: WorkloadSet | None = None) -> ScenarioReport:
-    """Leave-one-out error of the full pipeline over every workload."""
-    if wset is None:
-        wset = build_workload_set(config)
+def run_loocv(config: ExperimentConfig, wset: WorkloadSet) -> ScenarioReport:
+    """Leave-one-out error of the full pipeline over every workload of wset."""
     all_ids = [w.workload_id for w in wset.workloads]
     rows = []
     for held in all_ids:

@@ -448,7 +448,6 @@ class SurfaceClassifier:
 def train_classifier(training, base_spec: ResourceSpec,
                      selection: FeatureSelection, kind: str = "mlp",
                      rng_seed: int = 0, n_classes: int | None = None,
-                     hidden: int = MLP_HIDDEN, step: float = MLP_STEP,
                      epochs: int = MLP_EPOCHS) -> SurfaceClassifier:
     """Fit a cluster-id classifier on selected, standardized features."""
     training = list(training)
@@ -465,16 +464,12 @@ def train_classifier(training, base_spec: ResourceSpec,
     if labels.max() >= k:
         raise ValueError("cluster id out of range")
     raw = np.stack([vec.as_array() for vec, _ in training])
-    sub = raw[:, list(selection.selected)]
-    mean = sub.mean(axis=0)
-    std = sub.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    x = (sub - mean) / std
+    x, mean, std = _standardize(raw[:, list(selection.selected)])
 
     if kind == "mlp":
         rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 17]))
-        model = _Mlp.init(x.shape[1], hidden, k, rng)
-        model.train(x, labels, step=step, epochs=epochs)
+        model = _Mlp.init(x.shape[1], MLP_HIDDEN, k, rng)
+        model.train(x, labels, step=MLP_STEP, epochs=epochs)
     else:
         model = _NearestCentroid.fit(x, labels, k)
     accuracy = float(np.mean(model.predict(x) == labels))
@@ -570,27 +565,26 @@ def plan_capacity(request: PlanningRequest, surface: ScalingSurface) -> Resource
 class ModelBundle:
     """Everything the planner learned, in one serializable unit.
 
-    classifiers is keyed by base-spec key ('6c8g'); assignments in the
-    clustering follow training_workload_ids order.
+    The one classifier maps indexes observed at its base config,
+    base_spec, to a cluster of the clustering, whose assignments follow
+    training_workload_ids order. The file keeps the classifier in a
+    one-entry map keyed by that base ('6c8g').
     """
 
     region: ConfigRegion
     selection: FeatureSelection
     clustering: SurfaceClustering
-    classifiers: dict[str, SurfaceClassifier]
+    classifier: SurfaceClassifier
     training_workload_ids: tuple[int, ...]
     validation_workload_ids: tuple[int, ...]
     seed: int
 
-    def classifier_for(self, base_spec: ResourceSpec) -> SurfaceClassifier:
-        key = base_spec.key
-        if key not in self.classifiers:
-            raise KeyError(f"no classifier trained for base {key}; "
-                           f"have {sorted(self.classifiers)}")
-        return self.classifiers[key]
+    @property
+    def base_spec(self) -> ResourceSpec:
+        return self.classifier.base_spec
 
-    def predict(self, base_spec: ResourceSpec, indexes: SystemIndexVector) -> ScalingSurface:
-        return predict_surface(self.classifier_for(base_spec), self.clustering, indexes)
+    def predict(self, indexes: SystemIndexVector) -> ScalingSurface:
+        return predict_surface(self.classifier, self.clustering, indexes)
 
     def to_json(self) -> dict:
         return {"schema": "model-bundle/v1",
@@ -598,8 +592,7 @@ class ModelBundle:
                 "region": self.region.to_json(),
                 "selection": self.selection.to_json(),
                 "clustering": self.clustering.to_json(),
-                "classifiers": {key: clf.to_json()
-                                for key, clf in sorted(self.classifiers.items())},
+                "classifiers": {self.base_spec.key: self.classifier.to_json()},
                 "training_workload_ids": list(self.training_workload_ids),
                 "validation_workload_ids": list(self.validation_workload_ids)}
 
@@ -610,12 +603,16 @@ class ModelBundle:
     def from_json(cls, obj: dict) -> "ModelBundle":
         if obj.get("schema") != "model-bundle/v1":
             raise ValueError(f"not a model bundle file: schema={obj.get('schema')!r}")
+        keys = list(obj["classifiers"])
+        classifiers = [SurfaceClassifier.from_json(c) for c in obj["classifiers"].values()]
+        if len(keys) != 1 or keys[0] != classifiers[0].base_spec.key:
+            raise ValueError("a model bundle holds one classifier, keyed by its base; found "
+                             f"keys {keys} for bases {[c.base_spec.key for c in classifiers]}")
         region = ConfigRegion.from_json(obj["region"])
         return cls(region=region,
                    selection=FeatureSelection.from_json(obj["selection"]),
                    clustering=SurfaceClustering.from_json(region, obj["clustering"]),
-                   classifiers={key: SurfaceClassifier.from_json(c)
-                                for key, c in obj["classifiers"].items()},
+                   classifier=classifiers[0],
                    training_workload_ids=tuple(int(i) for i in obj["training_workload_ids"]),
                    validation_workload_ids=tuple(int(i) for i in obj["validation_workload_ids"]),
                    seed=int(obj["seed"]))

@@ -1,0 +1,63 @@
+"""What the benchmark under bench/ needs from the library.
+
+The benchmark wraps library functions by module attribute, counts probe
+calls on SimulatedProbe's own methods, and calls the study runners
+positionally. A change that breaks any of these breaks the benchmark,
+so it fails here first. bench/tracer.py is only read, never changed.
+"""
+
+import inspect
+import types
+from pathlib import Path
+
+import pytest
+
+from capsched import estimator, experiment
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    # exec the source rather than import it, so no bytecode lands in bench/
+    module = types.ModuleType("bench_tracer")
+    exec(compile(TRACER_PATH.read_text(encoding="utf-8"), str(TRACER_PATH), "exec"),
+         module.__dict__)
+    return module
+
+
+def test_every_traced_attribute_is_a_function(tracer):
+    for name, (module, attr) in tracer.TRACED.items():
+        assert inspect.isfunction(getattr(module, attr, None)), name
+
+
+def test_counted_probe_methods_are_the_probes_own(tracer):
+    for method in tracer.PROBE_METHODS:
+        assert method in vars(estimator.SimulatedProbe), method
+
+
+@pytest.mark.parametrize("runner, n_args", [
+    (experiment.train_bundle, 2),     # train_bundle(config, wset)
+    (experiment.run_colocation, 3),   # run_colocation(config, wset, bundle)
+    (experiment.run_loocv, 2),        # run_loocv(config, wset)
+])
+def test_runners_accept_the_benchmarks_positional_calls(runner, n_args):
+    inspect.signature(runner).bind(*[object()] * n_args)
+
+
+def test_loocv_reads_surface_error_as_a_module_global(monkeypatch):
+    # The loocv workload ends each run_loocv call at its first held-out
+    # round by replacing experiment.surface_error.
+    class RoundDone(Exception):
+        pass
+
+    def held_out_error(*args, **kwargs):
+        raise RoundDone
+
+    config = experiment.ExperimentConfig(
+        rng_seed=5, archetype_count=4, workload_count=8, train_count=6,
+        val_count=2, k=3, mlp_epochs=50)
+    wset = experiment.build_workload_set(config)
+    monkeypatch.setattr(experiment, "surface_error", held_out_error)
+    with pytest.raises(RoundDone):
+        experiment.run_loocv(config, wset)

@@ -293,3 +293,98 @@ def test_bad_inputs_exit_1(workdir, tmp_path):
         "--out", str(tmp_path / "z"))
     assert rc == 1
     assert "ghost" in stderr
+
+
+def _one_error_line(stderr):
+    return stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("override", [
+    {"k": "5"}, {"trials": 1.5}, {"epsilon": None}, {"trials": True},
+    {"theta": "high"}, {"core_levels": [1, 2.5]}, {"scenario1_origin": [1]},
+    {"gamma": -1}, {"cluster_nodes": 0}, [1],
+])
+def test_bad_config_exits_1_before_any_work(override, tmp_path):
+    # gen never reads the cluster settings, so a bad gamma or node count
+    # is caught only if the config checks them when it is loaded.
+    config = ({**TINY.to_json(), **override} if isinstance(override, dict)
+              else override)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc, _, stderr = _run("gen", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert rc == 1
+    assert _one_error_line(stderr), stderr
+    assert not (tmp_path / "o" / "workloads.json").exists()
+
+
+def test_bad_config_names_key_and_type(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"k": "5"}))
+    rc, _, stderr = _run("gen", "--config", str(path), "--out", str(tmp_path))
+    assert (rc, stderr) == (1, "error: config key 'k' needs an integer, got \"5\"\n")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([{"workload_id": 1, "profile": {}}], "request row 0 has no 'spec'"),
+    (["w1"], "request row 0 is not a JSON object"),
+    ({"requests": {"w1": {}}}, "requests file needs a 'requests' or 'profiles' list"),
+])
+def test_schedule_rejects_bad_request_rows(rows, message, workdir, tmp_path):
+    requests = tmp_path / "requests.json"
+    requests.write_text(json.dumps(
+        {"requests": rows} if isinstance(rows, list) else rows))
+    args, out = _cfg_args(workdir, "schedule_bad_rows")
+    rc, _, stderr = _run("schedule", *args, "--requests", str(requests))
+    assert rc == 1
+    assert stderr == f"error: {requests}: {message}\n"
+
+
+def test_plan_rejects_base_mismatch_naming_both_bases(workdir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {**TINY.to_json(), "base_cores": 1, "base_memory_gb": 2}))
+    rc, _, stderr = _run(
+        "plan", "--config", str(config), "--out", str(tmp_path),
+        "--bundle", str(workdir / "train" / "bundle.json"),
+        "--indexes", str(workdir / "indexes.json"), "--current", "1c2g")
+    assert rc == 1
+    assert _one_error_line(stderr)
+    assert "1c2g" in stderr and "6c8g" in stderr
+    assert not (tmp_path / "plan.json").exists()
+
+
+def test_simulate_reads_the_node_inventory_schedule_used(workdir, tmp_path):
+    nodes = tmp_path / "nodes.json"
+    nodes.write_text(json.dumps({"count": 2, "cores": 400, "memory_gb": 1024}))
+    profiles = str(workdir / "estimate" / "profiles.json")
+    args, out = _cfg_args(workdir, "inventory")
+    rc, _, _ = _run("schedule", *args, "--requests", profiles, "--nodes", str(nodes))
+    assert rc == 0
+    placements = str(out / "placements.jsonl")
+    assert {json.loads(line)["node_id"] for line in open(placements)} == {0, 1}
+    rc, _, stderr = _run("simulate", *args, "--placements", placements,
+                         "--requests", profiles, "--nodes", str(nodes))
+    assert rc == 0, stderr
+    report = json.loads((out / "simulation.json").read_text())
+    assert len(report["entries"]) == TINY.workload_count
+
+
+@pytest.mark.parametrize("inventory", [
+    {"nodes": [{"node_id": 0, "capacity": {"cores": 96, "memory_gb": 256}},
+               {"node_id": 1, "capacity": {"cores": 48, "memory_gb": 256}}]},
+    {"nodes": [{"node_id": 0, "capacity": {"cores": 96, "memory_gb": 256},
+                "used_cores": 4}]},
+    {"count": 0},
+])
+def test_simulate_rejects_inventory_it_cannot_model(inventory, workdir, tmp_path):
+    nodes = tmp_path / "nodes.json"
+    nodes.write_text(json.dumps(inventory))
+    args, out = _cfg_args(workdir, "inventory_bad")
+    rc, _, stderr = _run(
+        "simulate", *args,
+        "--placements", str(workdir / "schedule" / "placements.jsonl"),
+        "--requests", str(workdir / "estimate" / "profiles.json"),
+        "--nodes", str(nodes))
+    assert rc == 1
+    assert _one_error_line(stderr) and str(nodes) in stderr
+    assert not (out / "simulation.json").exists()

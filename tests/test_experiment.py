@@ -79,7 +79,7 @@ def test_bundle_predicts_cluster_centroids(small_config, small_wset, small_bundl
         w = small_wset.workload_by_id(wid)
         vec = observe_indexes(w, small_config.base_spec,
                               small_config.noise_sigma, small_wset.constants)
-        predicted = small_bundle.predict(small_config.base_spec, vec)
+        predicted = small_bundle.predict(vec)
         assert canonical_json(predicted.to_json()) in centroids
 
 

@@ -338,3 +338,19 @@ def test_model_bundle_roundtrip(small_bundle, tmp_path):
 def test_model_bundle_rejects_foreign_schema(tmp_path):
     with pytest.raises(ValueError):
         ModelBundle.from_json({"schema": "something-else"})
+
+
+def test_model_bundle_file_keys_its_one_classifier_by_base(small_bundle):
+    obj = small_bundle.to_json()
+    assert list(obj["classifiers"]) == [small_bundle.base_spec.key]
+    assert small_bundle.base_spec == small_bundle.classifier.base_spec
+
+
+@pytest.mark.parametrize("keys", [[], ["6c8g", "1c2g"], ["1c2g"]])
+def test_model_bundle_rejects_other_than_one_classifier_keyed_by_base(
+        small_bundle, keys):
+    obj = small_bundle.to_json()
+    [classifier] = obj["classifiers"].values()
+    obj["classifiers"] = {key: classifier for key in keys}
+    with pytest.raises(ValueError, match="one classifier, keyed by its base"):
+        ModelBundle.from_json(obj)

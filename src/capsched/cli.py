@@ -205,21 +205,24 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _check_rows(path, rows: list, what: str, keys: tuple[str, ...]) -> None:
+    """Raise ValueError naming the file, row and key unless every row has keys."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}: {what} row {i} is not a JSON object")
+        for key in keys:
+            if key not in row:
+                raise ValueError(f"{path}: {what} row {i} has no {key!r}")
+
+
 def _load_requests(path) -> list[tuple[str, ResourceSpec, InterferenceProfile]]:
     raw = _load_json(path)
     rows = raw.get("requests", raw.get("profiles")) if isinstance(raw, dict) else raw
     if not isinstance(rows, list):
         raise ValueError(f"{path}: requests file needs a 'requests' or 'profiles' list")
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ValueError(f"{path}: request row {i} is not a JSON object")
-        for key in ("workload_id", "spec", "profile"):
-            if key not in row:
-                raise ValueError(f"{path}: request row {i} has no {key!r}")
-        out.append((row["workload_id"], ResourceSpec.from_json(row["spec"]),
-                    InterferenceProfile.from_json(row["profile"])))
-    return out
+    _check_rows(path, rows, "request", ("workload_id", "spec", "profile"))
+    return [(row["workload_id"], ResourceSpec.from_json(row["spec"]),
+             InterferenceProfile.from_json(row["profile"])) for row in rows]
 
 
 def _load_nodes(args, config: ExperimentConfig) -> list[NodeState]:
@@ -231,6 +234,9 @@ def _load_nodes(args, config: ExperimentConfig) -> list[NodeState]:
     if not isinstance(raw, dict):
         raise ValueError(f"{args.nodes}: node inventory must be a JSON object")
     if "nodes" in raw:
+        if not isinstance(raw["nodes"], list):
+            raise ValueError(f"{args.nodes}: 'nodes' must be a list")
+        _check_rows(args.nodes, raw["nodes"], "node", ("node_id", "capacity"))
         nodes = [NodeState.from_json(n) for n in raw["nodes"]]
     else:
         cap = ResourceSpec(int(raw.get("cores", config.node_cores)),

@@ -35,8 +35,6 @@ from .planner import (
     FeatureSelection,
     ModelBundle,
     PlanningRequest,
-    SurfaceClassifier,
-    SurfaceClustering,
     cluster_surfaces,
     plan_capacity,
     select_features,
@@ -103,7 +101,6 @@ class ExperimentConfig:
     surface_noise: float = 0.0
     footprint_noise: float = 0.0
     probe_noise: float = 0.0
-    classifier: str = "mlp"
     mlp_epochs: int = MLP_EPOCHS
     cost_weight_cores: float = DEFAULT_COST_WEIGHTS[0]
     cost_weight_memory: float = DEFAULT_COST_WEIGHTS[1]
@@ -121,7 +118,6 @@ class ExperimentConfig:
     scaler: float = DEFAULT_SCALER
     origin_cores: tuple[int, int] = (1, 12)
     origin_memory_gb: tuple[int, int] = (2, 16)
-    sweep_ks: tuple[int, ...] = tuple(range(2, 31))
 
     def __post_init__(self) -> None:
         if self.train_count + self.val_count != self.workload_count:
@@ -132,8 +128,6 @@ class ExperimentConfig:
             raise ValueError("k must be in [1, train_count]")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
-        if self.classifier not in ("mlp", "nearest_centroid"):
-            raise ValueError(f"unknown classifier {self.classifier!r}")
         if self.trials < 1 or self.tenants_per_trial < 1:
             raise ValueError("trials and tenants_per_trial must be >= 1")
         for name in ("scenario1_origin", "scenario2_origin", "origin_cores",
@@ -141,7 +135,17 @@ class ExperimentConfig:
             if len(getattr(self, name)) != 2:
                 raise ValueError(f"{name} must be a pair")
         # Build the derived objects now, so their own checks run here.
-        self.region, self.base_spec, self.cluster_spec
+        region, _, _ = self.region, self.base_spec, self.cluster_spec
+        for name, levels in (("origin_cores", region.core_levels),
+                             ("origin_memory_gb", region.memory_levels_gb)):
+            lo, hi = getattr(self, name)
+            if not levels[0] <= lo <= hi <= levels[-1]:
+                raise ValueError(f"{name} needs {levels[0]} <= lo <= hi <= "
+                                 f"{levels[-1]}, got {[lo, hi]}")
+        for name in ("scenario1_origin", "scenario2_origin"):
+            origin = ResourceSpec(*getattr(self, name))
+            if not region.contains(origin):
+                raise ValueError(f"{name} {origin.key} lies outside the region")
 
     @cached_property
     def region(self) -> ConfigRegion:
@@ -216,25 +220,20 @@ def _predict(config: ExperimentConfig, wset: WorkloadSet, bundle: ModelBundle,
 
 @dataclass
 class _BaseData:
-    """Per-base-config intermediates shared across sweep points."""
+    """The training side at one base config, shared by every k fitted there."""
 
     base: ResourceSpec
+    train_ids: tuple[int, ...]
     selection: FeatureSelection
-    train_surfaces: list[ScalingSurface]
     train_obs: list[SystemIndexVector]
-    val_surfaces: list[ScalingSurface]
-    val_obs: list[SystemIndexVector]
+    train_surfaces: list[ScalingSurface]
 
 
 def _prepare_base(config: ExperimentConfig, wset: WorkloadSet,
-                  train_ids: Sequence[int], val_ids: Sequence[int],
-                  base: ResourceSpec) -> _BaseData:
+                  train_ids: Sequence[int], base: ResourceSpec) -> _BaseData:
     train = [wset.workload_by_id(i) for i in train_ids]
-    val = [wset.workload_by_id(i) for i in val_ids]
     train_obs = [observe_indexes(w, base, config.noise_sigma, wset.constants)
                  for w in train]
-    val_obs = [observe_indexes(w, base, config.noise_sigma, wset.constants)
-               for w in val]
     samples = [(obs, tps_at(w, base)) for w, obs in zip(train, train_obs)]
     selection = select_features_cv(samples, config.rng_seed)
     if not selection.selected:
@@ -243,33 +242,22 @@ def _prepare_base(config: ExperimentConfig, wset: WorkloadSet,
         selection = select_features(samples, lam=0.0)
     return _BaseData(
         base=base,
+        train_ids=tuple(train_ids),
         selection=selection,
-        train_surfaces=[w.ground_truth_surface.rebase(base) for w in train],
         train_obs=train_obs,
-        val_surfaces=[w.ground_truth_surface.rebase(base) for w in val],
-        val_obs=val_obs)
+        train_surfaces=[w.ground_truth_surface.rebase(base) for w in train])
 
 
-def _cluster_and_classify(config: ExperimentConfig, data: _BaseData,
-                          k: int) -> tuple[SurfaceClustering, SurfaceClassifier]:
-    """Cluster the training surfaces into k groups, then fit the classifier."""
+def _fit(config: ExperimentConfig, wset: WorkloadSet, data: _BaseData, k: int,
+         val_ids: Sequence[int]) -> ModelBundle:
+    """Cluster the training surfaces into k groups and fit the classifier."""
     clustering = cluster_surfaces(data.train_surfaces, k, config.rng_seed)
-    training = list(zip(data.train_obs, clustering.assignments))
     classifier = train_classifier(
-        training, data.base, data.selection, kind=config.classifier,
-        rng_seed=config.rng_seed, n_classes=clustering.k,
-        epochs=config.mlp_epochs)
-    return clustering, classifier
-
-
-def _fit_point(config: ExperimentConfig, data: _BaseData, k: int) -> list[float]:
-    """Cluster + classify at one (k, base) point; per-workload errors."""
-    clustering, classifier = _cluster_and_classify(config, data, k)
-    errors = []
-    for obs, actual in zip(data.val_obs, data.val_surfaces):
-        predicted = clustering.centroids[classifier.predict(obs)]
-        errors.append(surface_error(predicted, actual))
-    return errors
+        zip(data.train_obs, clustering.assignments), data.base, data.selection,
+        rng_seed=config.rng_seed, n_classes=clustering.k, epochs=config.mlp_epochs)
+    return ModelBundle(region=wset.region, clustering=clustering, classifier=classifier,
+                       training_workload_ids=data.train_ids,
+                       validation_workload_ids=tuple(val_ids), seed=config.rng_seed)
 
 
 def train_bundle(config: ExperimentConfig, wset: WorkloadSet) -> ModelBundle:
@@ -280,14 +268,8 @@ def train_bundle(config: ExperimentConfig, wset: WorkloadSet) -> ModelBundle:
     predicts only for workloads observed there.
     """
     train_ids, val_ids = split_train_val(config)
-    data = _prepare_base(config, wset, train_ids, val_ids, config.base_spec)
-    clustering, classifier = _cluster_and_classify(config, data, config.k)
-    return ModelBundle(region=wset.region, selection=data.selection,
-                       clustering=clustering,
-                       classifier=classifier,
-                       training_workload_ids=tuple(train_ids),
-                       validation_workload_ids=tuple(val_ids),
-                       seed=config.rng_seed)
+    data = _prepare_base(config, wset, train_ids, config.base_spec)
+    return _fit(config, wset, data, config.k, val_ids)
 
 
 @dataclass(frozen=True)
@@ -612,27 +594,29 @@ def run_hyperparam_sweep(config: ExperimentConfig, wset: WorkloadSet,
                          bases: Sequence[ResourceSpec] | None = None) -> ScenarioReport:
     """Validation error on wset across cluster counts and base configs.
 
-    ks defaults to config.sweep_ks, bases to every spec of the region.
-    The feature selection and observations are computed once per base,
-    then every k refits the clustering and classifier. Rows carry the
-    per-workload errors so any aggregate can be recomputed.
+    ks defaults to 2..min(30, training workloads), bases to every spec
+    of the region. The feature selection and observations are computed
+    once per base, then every k refits the clustering and classifier.
+    Rows carry the per-workload errors so any aggregate can be
+    recomputed.
     """
     train_ids, val_ids = split_train_val(config)
     if ks is None:
-        ks = [k for k in config.sweep_ks if k <= len(train_ids)]
+        ks = range(2, min(30, len(train_ids)) + 1)
     if bases is None:
         bases = wset.region.specs()
     rows = []
     for base in bases:
-        data = _prepare_base(config, wset, train_ids, val_ids, base)
+        data = _prepare_base(config, wset, train_ids, base)
         for k in ks:
-            errors = _fit_point(config, data, int(k))
+            bundle = _fit(config, wset, data, int(k), val_ids)
+            report = evaluate_validation(config, wset, bundle)
             rows.append({
                 "k": int(k),
                 "base": base.key,
-                "mean_error": float(np.mean(errors)),
-                "max_error": float(np.max(errors)),
-                "errors": [float(e) for e in errors],
+                "mean_error": report.mean_error,
+                "max_error": report.max_error,
+                "errors": [r["error"] for r in report.rows],
             })
     best = min(rows, key=lambda r: (r["mean_error"], r["k"], r["base"]))
     summary = {"points": len(rows), "best_k": best["k"], "best_base": best["base"],
@@ -647,11 +631,9 @@ def run_loocv(config: ExperimentConfig, wset: WorkloadSet) -> ScenarioReport:
     rows = []
     for held in all_ids:
         train_ids = [i for i in all_ids if i != held]
-        data = _prepare_base(config, wset, train_ids, [held], config.base_spec)
-        k = min(config.k, len(train_ids))
-        errors = _fit_point(config, data, k)
-        rows.append({"workload_id": held, "error": errors[0],
-                     "archetype_id": wset.workload_by_id(held).archetype_id})
+        data = _prepare_base(config, wset, train_ids, config.base_spec)
+        bundle = _fit(config, wset, data, min(config.k, len(train_ids)), [held])
+        rows.extend(evaluate_validation(config, wset, bundle).rows)
     errs = [r["error"] for r in rows]
     summary = {"rounds": len(rows), "mean_error": float(np.mean(errs)),
                "max_error": float(np.max(errs))}

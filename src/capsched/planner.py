@@ -7,8 +7,8 @@ indexes into a concrete resource recommendation:
    indexes that actually carry performance signal.
 2. K-means groups the training workloads' scaling surfaces; each
    cluster's centroid surface is the representative for its members.
-3. A classifier maps selected, standardized index features, observed
-   at the bundle's base config, to a cluster id.
+3. An MLP maps selected, standardized index features, observed at the
+   bundle's base config, to a cluster id.
 4. The predicted surface is scanned exhaustively for the cheapest
    grid config meeting a scale-up target or a scale-down tolerance.
 
@@ -358,39 +358,12 @@ class _Mlp:
 
     @classmethod
     def from_json(cls, obj: dict) -> "_Mlp":
-        return cls(np.array(obj["w1"], dtype=float), np.array(obj["b1"], dtype=float),
-                   np.array(obj["w2"], dtype=float), np.array(obj["b2"], dtype=float))
-
-
-class _NearestCentroid:
-    """Per-class feature means; predicts the closest class."""
-
-    def __init__(self, centroids: np.ndarray):
-        self.centroids = centroids  # (k, d), NaN rows for absent classes
-
-    @classmethod
-    def fit(cls, x: np.ndarray, y: np.ndarray, k: int) -> "_NearestCentroid":
-        centroids = np.full((k, x.shape[1]), np.nan)
-        for c in range(k):
-            members = y == c
-            if members.any():
-                centroids[c] = x[members].mean(axis=0)
-        return cls(centroids)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        d2 = ((x[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        d2 = np.where(np.isnan(d2), np.inf, d2)
-        return np.argmin(d2, axis=1)
-
-    def to_json(self) -> dict:
-        return {"centroids": [[None if np.isnan(v) else float(v) for v in row]
-                              for row in self.centroids]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "_NearestCentroid":
-        rows = [[np.nan if v is None else float(v) for v in row]
-                for row in obj["centroids"]]
-        return cls(np.array(rows, dtype=float))
+        arrays = {name: np.array(obj[name], dtype=float)
+                  for name in ("w1", "b1", "w2", "b2")}
+        for name, array in arrays.items():
+            if array.ndim != (2 if name.startswith("w") else 1):
+                raise ValueError(f"classifier {name} has {array.ndim} dimensions")
+        return cls(**arrays)
 
 
 @dataclass(frozen=True)
@@ -402,12 +375,11 @@ class SurfaceClassifier:
     """
 
     base_spec: ResourceSpec
-    kind: str
     selection: FeatureSelection
     mean: tuple[float, ...]
     std: tuple[float, ...]
     n_classes: int
-    model: object
+    model: _Mlp
     training_accuracy: float
 
     def _features(self, indexes: SystemIndexVector) -> np.ndarray:
@@ -422,7 +394,7 @@ class SurfaceClassifier:
         return int(self.model.predict(feats)[0])
 
     def to_json(self) -> dict:
-        return {"base_spec": self.base_spec.to_json(), "kind": self.kind,
+        return {"base_spec": self.base_spec.to_json(), "kind": "mlp",
                 "selection": self.selection.to_json(),
                 "mean": list(self.mean), "std": list(self.std),
                 "n_classes": self.n_classes, "model": self.model.to_json(),
@@ -430,31 +402,43 @@ class SurfaceClassifier:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SurfaceClassifier":
-        kind = str(obj["kind"])
-        if kind == "mlp":
-            model = _Mlp.from_json(obj["model"])
-        elif kind == "nearest_centroid":
-            model = _NearestCentroid.from_json(obj["model"])
-        else:
-            raise ValueError(f"unknown classifier kind {kind!r}")
-        return cls(base_spec=ResourceSpec.from_json(obj["base_spec"]), kind=kind,
-                   selection=FeatureSelection.from_json(obj["selection"]),
-                   mean=tuple(float(v) for v in obj["mean"]),
-                   std=tuple(float(v) for v in obj["std"]),
-                   n_classes=int(obj["n_classes"]), model=model,
-                   training_accuracy=float(obj["training_accuracy"]))
+        """Load a classifier, checking its sizes against one another."""
+        if obj["kind"] != "mlp":
+            raise ValueError(f"unknown classifier kind {obj['kind']!r}")
+        clf = cls(base_spec=ResourceSpec.from_json(obj["base_spec"]),
+                  selection=FeatureSelection.from_json(obj["selection"]),
+                  mean=tuple(float(v) for v in obj["mean"]),
+                  std=tuple(float(v) for v in obj["std"]),
+                  n_classes=int(obj["n_classes"]), model=_Mlp.from_json(obj["model"]),
+                  training_accuracy=float(obj["training_accuracy"]))
+        selected, m = clf.selection.selected, clf.model
+        if not all(0 <= i < len(INDEX_NAMES) for i in selected):
+            raise ValueError(f"selected indexes {list(selected)} are not all in "
+                             f"0..{len(INDEX_NAMES) - 1}")
+        _same_sizes("feature", selected=len(selected), mean=len(clf.mean),
+                    std=len(clf.std), w1_rows=m.w1.shape[0])
+        _same_sizes("hidden", w1_columns=m.w1.shape[1], b1=len(m.b1),
+                    w2_rows=m.w2.shape[0])
+        _same_sizes("class", w2_columns=m.w2.shape[1], b2=len(m.b2),
+                    n_classes=clf.n_classes)
+        return clf
+
+
+def _same_sizes(what: str, **sizes: int) -> None:
+    """Raise ValueError naming every size unless all are equal."""
+    if len(set(sizes.values())) > 1:
+        listed = ", ".join(f"{name.replace('_', ' ')} {n}" for name, n in sizes.items())
+        raise ValueError(f"model bundle {what} sizes disagree: {listed}")
 
 
 def train_classifier(training, base_spec: ResourceSpec,
-                     selection: FeatureSelection, kind: str = "mlp",
-                     rng_seed: int = 0, n_classes: int | None = None,
+                     selection: FeatureSelection, rng_seed: int = 0,
+                     n_classes: int | None = None,
                      epochs: int = MLP_EPOCHS) -> SurfaceClassifier:
-    """Fit a cluster-id classifier on selected, standardized features."""
+    """Fit the MLP cluster-id classifier on selected, standardized features."""
     training = list(training)
     if not training:
         raise ValueError("training set must be non-empty")
-    if kind not in ("mlp", "nearest_centroid"):
-        raise ValueError(f"unknown classifier kind {kind!r}")
     if not selection.selected:
         raise ValueError("feature selection is empty")
     labels = np.array([int(c) for _, c in training])
@@ -465,15 +449,11 @@ def train_classifier(training, base_spec: ResourceSpec,
         raise ValueError("cluster id out of range")
     raw = np.stack([vec.as_array() for vec, _ in training])
     x, mean, std = _standardize(raw[:, list(selection.selected)])
-
-    if kind == "mlp":
-        rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 17]))
-        model = _Mlp.init(x.shape[1], MLP_HIDDEN, k, rng)
-        model.train(x, labels, step=MLP_STEP, epochs=epochs)
-    else:
-        model = _NearestCentroid.fit(x, labels, k)
+    rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 17]))
+    model = _Mlp.init(x.shape[1], MLP_HIDDEN, k, rng)
+    model.train(x, labels, step=MLP_STEP, epochs=epochs)
     accuracy = float(np.mean(model.predict(x) == labels))
-    return SurfaceClassifier(base_spec=base_spec, kind=kind, selection=selection,
+    return SurfaceClassifier(base_spec=base_spec, selection=selection,
                              mean=tuple(float(v) for v in mean),
                              std=tuple(float(v) for v in std),
                              n_classes=k, model=model, training_accuracy=accuracy)
@@ -568,11 +548,11 @@ class ModelBundle:
     The one classifier maps indexes observed at its base config,
     base_spec, to a cluster of the clustering, whose assignments follow
     training_workload_ids order. The file keeps the classifier in a
-    one-entry map keyed by that base ('6c8g').
+    one-entry map keyed by that base ('6c8g'), and a copy of its
+    feature selection at the top level.
     """
 
     region: ConfigRegion
-    selection: FeatureSelection
     clustering: SurfaceClustering
     classifier: SurfaceClassifier
     training_workload_ids: tuple[int, ...]
@@ -582,6 +562,10 @@ class ModelBundle:
     @property
     def base_spec(self) -> ResourceSpec:
         return self.classifier.base_spec
+
+    @property
+    def selection(self) -> FeatureSelection:
+        return self.classifier.selection
 
     def predict(self, indexes: SystemIndexVector) -> ScalingSurface:
         return predict_surface(self.classifier, self.clustering, indexes)
@@ -601,19 +585,28 @@ class ModelBundle:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelBundle":
-        if obj.get("schema") != "model-bundle/v1":
-            raise ValueError(f"not a model bundle file: schema={obj.get('schema')!r}")
+        """Load a bundle, checking that its parts agree in size."""
+        schema = obj.get("schema") if isinstance(obj, dict) else None
+        if schema != "model-bundle/v1":
+            raise ValueError(f"not a model bundle file: schema={schema!r}")
+        if not isinstance(obj["classifiers"], dict):
+            raise ValueError("bundle classifiers must be a JSON object")
         keys = list(obj["classifiers"])
         classifiers = [SurfaceClassifier.from_json(c) for c in obj["classifiers"].values()]
         if len(keys) != 1 or keys[0] != classifiers[0].base_spec.key:
             raise ValueError("a model bundle holds one classifier, keyed by its base; found "
                              f"keys {keys} for bases {[c.base_spec.key for c in classifiers]}")
+        if FeatureSelection.from_json(obj["selection"]) != classifiers[0].selection:
+            raise ValueError("bundle selection differs from its classifier's")
         region = ConfigRegion.from_json(obj["region"])
-        return cls(region=region,
-                   selection=FeatureSelection.from_json(obj["selection"]),
-                   clustering=SurfaceClustering.from_json(region, obj["clustering"]),
-                   classifier=classifiers[0],
-                   training_workload_ids=tuple(int(i) for i in obj["training_workload_ids"]),
+        clustering = SurfaceClustering.from_json(region, obj["clustering"])
+        train_ids = tuple(int(i) for i in obj["training_workload_ids"])
+        _same_sizes("class", n_classes=classifiers[0].n_classes, k=clustering.k,
+                    centroids=len(clustering.centroids))
+        _same_sizes("training", assignments=len(clustering.assignments),
+                    training_workload_ids=len(train_ids))
+        return cls(region=region, clustering=clustering, classifier=classifiers[0],
+                   training_workload_ids=train_ids,
                    validation_workload_ids=tuple(int(i) for i in obj["validation_workload_ids"]),
                    seed=int(obj["seed"]))
 

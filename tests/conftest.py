@@ -17,7 +17,6 @@ def small_config():
         trials=2,
         tenants_per_trial=14,
         cluster_nodes=3,
-        sweep_ks=(2, 3, 5),
         mlp_epochs=400,
     )
 

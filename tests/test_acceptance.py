@@ -242,7 +242,7 @@ def _run_cli_chain(root):
     config = ExperimentConfig(rng_seed=3, archetype_count=4, workload_count=10,
                               train_count=8, val_count=2, k=4, trials=2,
                               tenants_per_trial=8, cluster_nodes=3,
-                              sweep_ks=(2, 3), mlp_epochs=200)
+                              mlp_epochs=200)
     cfg = root / "config.json"
     root.mkdir(parents=True, exist_ok=True)
     cfg.write_text(json.dumps(config.to_json()), encoding="utf-8")

@@ -3,10 +3,12 @@
 The benchmark wraps library functions by module attribute, counts probe
 calls on SimulatedProbe's own methods, and calls the study runners
 positionally. A change that breaks any of these breaks the benchmark,
-so it fails here first. bench/tracer.py is only read, never changed.
+so it fails here first, as does a workload that no longer runs at a
+small size. The files under bench/ are only read, never changed.
 """
 
 import inspect
+import sys
 import types
 from pathlib import Path
 
@@ -14,16 +16,28 @@ import pytest
 
 from capsched import estimator, experiment
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _exec_module(name, path):
+    # exec the source rather than import it, so no bytecode lands in bench/;
+    # dataclasses looks the defining module up in sys.modules meanwhile
+    module = sys.modules[name] = types.ModuleType(name)
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[name]
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    # exec the source rather than import it, so no bytecode lands in bench/
-    module = types.ModuleType("bench_tracer")
-    exec(compile(TRACER_PATH.read_text(encoding="utf-8"), str(TRACER_PATH), "exec"),
-         module.__dict__)
-    return module
+    return _exec_module("bench_tracer", BENCH / "tracer.py")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _exec_module("bench_workloads", BENCH / "workloads.py")
 
 
 def test_every_traced_attribute_is_a_function(tracer):
@@ -61,3 +75,23 @@ def test_loocv_reads_surface_error_as_a_module_global(monkeypatch):
     monkeypatch.setattr(experiment, "surface_error", held_out_error)
     with pytest.raises(RoundDone):
         experiment.run_loocv(config, wset)
+
+
+# Small sizes, set on a fresh instance of each workload, never on its class.
+SMALL = {
+    "loocv": {"ROUNDS": 1},
+    "place-wide": {"REQUESTS": 60, "NODES": 10},
+    "colocate-large": {"TRIALS": 1},
+    "simulate-dense": {"TENANTS": 90, "NODES": 2, "PLACEMENTS": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_every_workload_runs_a_small_pass(workloads, name):
+    workload = type(workloads.WORKLOADS[name])()
+    for attr, value in SMALL[name].items():
+        assert hasattr(workload, attr), attr
+        setattr(workload, attr, value)
+    result = workload.run_pass(workload.setup(1))
+    assert result.problems == []
+    assert result.failed == 0

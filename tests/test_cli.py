@@ -14,7 +14,7 @@ from capsched.workload_synth import observe_indexes
 TINY = ExperimentConfig(rng_seed=3, archetype_count=4, workload_count=10,
                         train_count=8, val_count=2, k=4, trials=2,
                         tenants_per_trial=8, cluster_nodes=3,
-                        sweep_ks=(2, 3), mlp_epochs=200)
+                        mlp_epochs=200)
 
 
 def _run(*argv):
@@ -242,7 +242,7 @@ def test_loocv_emits_rounds(tmp_path):
     config = ExperimentConfig(rng_seed=4, archetype_count=3, workload_count=6,
                               train_count=4, val_count=2, k=3, trials=1,
                               tenants_per_trial=4, cluster_nodes=2,
-                              sweep_ks=(2,), mlp_epochs=150)
+                              mlp_epochs=150)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config.to_json()))
     rc, stdout, _ = _run("loocv", "--config", str(config_path),
@@ -303,6 +303,8 @@ def _one_error_line(stderr):
     {"k": "5"}, {"trials": 1.5}, {"epsilon": None}, {"trials": True},
     {"theta": "high"}, {"core_levels": [1, 2.5]}, {"scenario1_origin": [1]},
     {"gamma": -1}, {"cluster_nodes": 0}, [1],
+    {"origin_cores": [5, 3]}, {"origin_cores": [1, 40]}, {"origin_memory_gb": [1, 16]},
+    {"scenario1_origin": [40, 2]}, {"scenario2_origin": [12, 64]},
 ])
 def test_bad_config_exits_1_before_any_work(override, tmp_path):
     # gen never reads the cluster settings, so a bad gamma or node count
@@ -388,3 +390,74 @@ def test_simulate_rejects_inventory_it_cannot_model(inventory, workdir, tmp_path
     assert rc == 1
     assert _one_error_line(stderr) and str(nodes) in stderr
     assert not (out / "simulation.json").exists()
+
+
+def _classifier(bundle):
+    [classifier] = bundle["classifiers"].values()
+    return classifier
+
+
+def _drop_w2_column(bundle):
+    for row in _classifier(bundle)["model"]["w2"]:
+        row.pop()
+
+
+@pytest.mark.parametrize("mutate, message", [
+    pytest.param(lambda b: b.update(classifiers=[]),
+                 "classifiers must be a JSON object", id="classifiers-list"),
+    pytest.param(lambda b: _classifier(b).update(kind="nearest_centroid"),
+                 "unknown classifier kind 'nearest_centroid'", id="kind"),
+    pytest.param(lambda b: b["selection"]["selected"].pop(),
+                 "selection differs", id="top-level-selection"),
+    pytest.param(lambda b: _classifier(b)["selection"]["selected"].append(15),
+                 "not all in 0..14", id="selected-range"),
+    pytest.param(lambda b: _classifier(b)["mean"].pop(),
+                 "feature sizes disagree", id="mean"),
+    pytest.param(lambda b: _classifier(b)["std"].append(1.0),
+                 "feature sizes disagree", id="std"),
+    pytest.param(lambda b: _classifier(b)["model"]["w1"].pop(),
+                 "feature sizes disagree", id="w1-rows"),
+    pytest.param(lambda b: _classifier(b)["model"].update(w1=[1.0]),
+                 "w1 has 1 dimensions", id="w1-vector"),
+    pytest.param(lambda b: _classifier(b)["model"]["b1"].pop(),
+                 "hidden sizes disagree", id="b1"),
+    pytest.param(_drop_w2_column, "class sizes disagree", id="w2-columns"),
+    pytest.param(lambda b: _classifier(b).update(n_classes=5),
+                 "class sizes disagree", id="n-classes"),
+    pytest.param(lambda b: b["clustering"]["centroids"].pop(),
+                 "class sizes disagree", id="centroids"),
+    pytest.param(lambda b: b["clustering"].update(k=5),
+                 "class sizes disagree", id="k"),
+    pytest.param(lambda b: b["clustering"]["assignments"].pop(),
+                 "training sizes disagree", id="assignments"),
+])
+def test_plan_rejects_inconsistent_bundle(mutate, message, workdir, tmp_path):
+    bundle = json.loads((workdir / "train" / "bundle.json").read_text())
+    mutate(bundle)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    out = tmp_path / "out"
+    rc, _, stderr = _run("plan", "--config", str(workdir / "config.json"),
+                         "--out", str(out), "--bundle", str(path),
+                         "--indexes", str(workdir / "indexes.json"), "--current", "1c2g")
+    assert rc == 1
+    assert _one_error_line(stderr) and message in stderr, stderr
+    assert not (out / "plan.json").exists()
+
+
+@pytest.mark.parametrize("inventory, message", [
+    ({"nodes": [{"node_id": 0}]}, "node row 0 has no 'capacity'"),
+    ({"nodes": [{"capacity": {"cores": 96, "memory_gb": 256}}]},
+     "node row 0 has no 'node_id'"),
+    ({"nodes": ["n0"]}, "node row 0 is not a JSON object"),
+    ({"nodes": {"n0": {}}}, "'nodes' must be a list"),
+])
+def test_schedule_rejects_bad_node_rows(inventory, message, workdir, tmp_path):
+    nodes = tmp_path / "nodes.json"
+    nodes.write_text(json.dumps(inventory))
+    out = tmp_path / "out"
+    rc, _, stderr = _run("schedule", "--config", str(workdir / "config.json"),
+                         "--out", str(out), "--nodes", str(nodes),
+                         "--requests", str(workdir / "estimate" / "profiles.json"))
+    assert (rc, stderr) == (1, f"error: {nodes}: {message}\n")
+    assert not (out / "placements.jsonl").exists()

@@ -34,7 +34,7 @@ def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ValueError):
         ExperimentConfig(k=100)
     with pytest.raises(ValueError):
-        ExperimentConfig(classifier="forest")
+        ExperimentConfig.from_json({"classifier": "mlp"})
     with pytest.raises(ValueError):
         ExperimentConfig(epsilon=1.5)
 
@@ -144,11 +144,11 @@ def test_colocation_trials_are_deterministic(small_config, small_wset, small_bun
 
 
 def test_hyperparam_sweep_covers_requested_grid(small_config, small_wset):
-    report = run_hyperparam_sweep(small_config, small_wset,
+    report = run_hyperparam_sweep(small_config, small_wset, ks=(2, 3, 5),
                                   bases=[small_config.base_spec])
     ks = sorted({r["k"] for r in report.rows})
-    assert ks == sorted(small_config.sweep_ks)
-    assert len(report.rows) == len(small_config.sweep_ks)
+    assert ks == [2, 3, 5]
+    assert len(report.rows) == 3
     for row in report.rows:
         assert row["base"] == small_config.base_spec.key
         assert len(row["errors"]) == small_config.val_count
@@ -162,7 +162,7 @@ def test_loocv_runs_every_round():
     config = ExperimentConfig(rng_seed=5, archetype_count=4, workload_count=8,
                               train_count=6, val_count=2, k=3, trials=1,
                               tenants_per_trial=4, cluster_nodes=2,
-                              sweep_ks=(2, 3), mlp_epochs=200)
+                              mlp_epochs=200)
     wset = build_workload_set(config)
     report = run_loocv(config, wset)
     assert report.summary["rounds"] == config.workload_count

@@ -160,26 +160,16 @@ _FULL_SELECTION = FeatureSelection(lam=0.0, weights=(1.0,) * 15,
 
 def test_mlp_fits_separable_clusters():
     training = _blob_training()
-    clf = train_classifier(training, BASE, _FULL_SELECTION, kind="mlp",
+    clf = train_classifier(training, BASE, _FULL_SELECTION,
                            rng_seed=4, epochs=300)
     assert clf.training_accuracy == 1.0
     for vec, cls in training:
         assert clf.predict(vec) == cls
 
 
-def test_nearest_centroid_agrees_on_separable_clusters():
-    training = _blob_training()
-    mlp = train_classifier(training, BASE, _FULL_SELECTION, kind="mlp",
-                           rng_seed=4, epochs=300)
-    nc = train_classifier(training, BASE, _FULL_SELECTION, kind="nearest_centroid")
-    assert nc.training_accuracy == 1.0
-    for vec, _ in training:
-        assert mlp.predict(vec) == nc.predict(vec)
-
-
 def test_classifier_roundtrip_preserves_predictions():
     training = _blob_training()
-    clf = train_classifier(training, BASE, _FULL_SELECTION, kind="mlp",
+    clf = train_classifier(training, BASE, _FULL_SELECTION,
                            rng_seed=4, epochs=300)
     clone = type(clf).from_json(clf.to_json())
     for vec, _ in training:
@@ -188,12 +178,11 @@ def test_classifier_roundtrip_preserves_predictions():
 
 
 def test_classifier_from_json_rejects_unknown_kind():
-    clf = train_classifier(_blob_training(), BASE, _FULL_SELECTION,
-                           kind="nearest_centroid")
+    clf = train_classifier(_blob_training(), BASE, _FULL_SELECTION)
     obj = clf.to_json()
-    assert type(clf).from_json(obj).kind == "nearest_centroid"
-    obj["kind"] = "svm"
-    with pytest.raises(ValueError, match="unknown classifier kind 'svm'"):
+    assert obj["kind"] == "mlp"
+    obj["kind"] = "nearest_centroid"
+    with pytest.raises(ValueError, match="unknown classifier kind 'nearest_centroid'"):
         type(clf).from_json(obj)
 
 
@@ -201,8 +190,6 @@ def test_train_classifier_validates_inputs():
     training = _blob_training()
     with pytest.raises(ValueError):
         train_classifier([], BASE, _FULL_SELECTION)
-    with pytest.raises(ValueError):
-        train_classifier(training, BASE, _FULL_SELECTION, kind="svm")
     empty = FeatureSelection(lam=1.0, weights=(0.0,) * 15, selected=())
     with pytest.raises(ValueError):
         train_classifier(training, BASE, empty)
@@ -210,8 +197,7 @@ def test_train_classifier_validates_inputs():
 
 def test_predict_surface_rejects_class_count_mismatch(small_wset):
     clustering = cluster_surfaces(_surfaces(small_wset), k=4, rng_seed=3)
-    clf = train_classifier(_blob_training(), BASE, _FULL_SELECTION,
-                           kind="nearest_centroid")
+    clf = train_classifier(_blob_training(), BASE, _FULL_SELECTION)
     assert clf.n_classes == 3
     with pytest.raises(ValueError):
         predict_surface(clf, clustering, _blob_training()[0][0])

@@ -22,6 +22,8 @@ from .core import (
     NodeConstants,
     ResourceSpec,
     SystemIndexVector,
+    decode,
+    read_json,
     write_json,
 )
 from .estimator import (
@@ -42,14 +44,9 @@ from .experiment import (
     train_bundle,
 )
 from .planner import ModelBundle, PlanningRequest, plan_capacity
-from .scheduler import NodeState, ScheduleConfig, place
+from .scheduler import REQUEST_FIELDS, NodeState, ScheduleConfig, place
 from .simulator import simulate_colocated
 from .workload_synth import WorkloadSet, probe_for
-
-
-def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -143,12 +140,10 @@ def cmd_plan(args) -> int:
     if bundle.base_spec != config.base_spec:
         raise ValueError(f"config base {config.base_spec.key} differs from "
                          f"the bundle's base {bundle.base_spec.key}")
-    raw = _load_json(args.indexes)
+    raw = read_json(args.indexes)
     if isinstance(raw, dict):
         raw = raw.get("indexes", raw)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{args.indexes}: index vector must be a JSON object")
-    indexes = SystemIndexVector.from_json(raw)
+    indexes = SystemIndexVector.from_json(raw, f"{args.indexes}: indexes")
     current = ResourceSpec.parse(args.current)
     tolerance = config.epsilon if args.tolerance is None else args.tolerance
     request = PlanningRequest(policy=args.policy, current_spec=current,
@@ -188,7 +183,7 @@ def cmd_estimate(args) -> int:
     out = _out_dir(args)
     wset = WorkloadSet.load(args.workloads)
     if args.tracks:
-        tracks = tracks_from_json(_load_json(args.tracks))
+        tracks = tracks_from_json(read_json(args.tracks), f"{args.tracks}: tracks")
     else:
         tracks = stress_reference_tracks(wset.constants)
     records = []
@@ -205,24 +200,22 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _check_rows(path, rows: list, what: str, keys: tuple[str, ...]) -> None:
-    """Raise ValueError naming the file, row and key unless every row has keys."""
+def _rows(path, rows: list, what: str):
+    """(where, row) for each row of a file's list; every row must be an object."""
     for i, row in enumerate(rows):
+        where = f"{path}: {what} row {i}"
         if not isinstance(row, dict):
-            raise ValueError(f"{path}: {what} row {i} is not a JSON object")
-        for key in keys:
-            if key not in row:
-                raise ValueError(f"{path}: {what} row {i} has no {key!r}")
+            raise ValueError(f"{where} is not a JSON object")
+        yield where, row
 
 
-def _load_requests(path) -> list[tuple[str, ResourceSpec, InterferenceProfile]]:
-    raw = _load_json(path)
+def _load_requests(path) -> list[tuple[int | str, ResourceSpec, InterferenceProfile]]:
+    raw = read_json(path)
     rows = raw.get("requests", raw.get("profiles")) if isinstance(raw, dict) else raw
     if not isinstance(rows, list):
         raise ValueError(f"{path}: requests file needs a 'requests' or 'profiles' list")
-    _check_rows(path, rows, "request", ("workload_id", "spec", "profile"))
-    return [(row["workload_id"], ResourceSpec.from_json(row["spec"]),
-             InterferenceProfile.from_json(row["profile"])) for row in rows]
+    return [tuple(decode(REQUEST_FIELDS, row, where).values())
+            for where, row in _rows(path, rows, "request")]
 
 
 def _load_nodes(args, config: ExperimentConfig) -> list[NodeState]:
@@ -230,18 +223,21 @@ def _load_nodes(args, config: ExperimentConfig) -> list[NodeState]:
         cap = ResourceSpec(config.node_cores, config.node_memory_gb)
         return [NodeState(node_id=i, capacity=cap)
                 for i in range(config.cluster_nodes)]
-    raw = _load_json(args.nodes)
+    raw = read_json(args.nodes)
     if not isinstance(raw, dict):
         raise ValueError(f"{args.nodes}: node inventory must be a JSON object")
     if "nodes" in raw:
         if not isinstance(raw["nodes"], list):
             raise ValueError(f"{args.nodes}: 'nodes' must be a list")
-        _check_rows(args.nodes, raw["nodes"], "node", ("node_id", "capacity"))
-        nodes = [NodeState.from_json(n) for n in raw["nodes"]]
+        nodes = [NodeState.from_json(row, where)
+                 for where, row in _rows(args.nodes, raw["nodes"], "node")]
     else:
-        cap = ResourceSpec(int(raw.get("cores", config.node_cores)),
-                           int(raw.get("memory_gb", config.node_memory_gb)))
-        nodes = [NodeState(node_id=i, capacity=cap) for i in range(int(raw["count"]))]
+        inventory = decode({"count": int, "cores": int, "memory_gb": int},
+                           {"cores": config.node_cores,
+                            "memory_gb": config.node_memory_gb, **raw},
+                           f"{args.nodes}: node inventory")
+        cap = ResourceSpec(inventory["cores"], inventory["memory_gb"])
+        nodes = [NodeState(node_id=i, capacity=cap) for i in range(inventory["count"])]
     if not nodes:
         raise ValueError(f"{args.nodes}: node inventory is empty")
     return nodes
@@ -284,16 +280,20 @@ def cmd_simulate(args) -> int:
                 for wid, spec, profile in _load_requests(args.requests)}
     tenants = []
     with open(args.placements, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            row = json.loads(line)
+            where = f"{args.placements}: line {number}"
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            row = decode({"workload_id": int | str, "node_id": int}, row, where)
             wid = row["workload_id"]
             if wid not in requests:
-                raise ValueError(f"placement for unknown workload {wid!r}")
+                raise ValueError(f"{where}: placement for unknown workload {wid!r}")
             spec, profile = requests[wid]
-            tenants.append((wid, int(row["node_id"]), spec, profile))
+            tenants.append((wid, row["node_id"], spec, profile))
     report = simulate_colocated(tenants, cluster)
     write_json(out / "simulation.json",
                {"schema": "simulation-report/v1", **report.to_json()})

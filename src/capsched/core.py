@@ -7,16 +7,19 @@ The pipeline moves three kinds of data between its stages:
 * interference profiles, i.e. per-shared-resource pressure and
   sensitivity levels on a common 0..N scale.
 
-Everything here is a plain frozen dataclass with explicit JSON
-round-tripping so that CLI outputs are stable byte-for-byte across
-reruns of the same inputs.
+Everything here is a plain frozen dataclass. Records share one JSON
+encoder and one type-checking decoder (JsonRecord, decode), so CLI
+outputs are stable byte-for-byte across reruns of the same inputs.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,6 +29,7 @@ __all__ = [
     "ConfigRegion",
     "InfeasibleError",
     "InterferenceProfile",
+    "JsonRecord",
     "KmpsTrack",
     "NodeConstants",
     "OutOfRegionError",
@@ -36,6 +40,8 @@ __all__ = [
     "SystemIndexVector",
     "INDEX_NAMES",
     "canonical_json",
+    "decode",
+    "read_json",
     "round_half_up",
     "write_json",
 ]
@@ -76,8 +82,112 @@ def write_json(path, obj) -> None:
         fh.write(canonical_json(obj))
 
 
+def read_json(path):
+    """The JSON value in a file; a file that does not parse is named."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+# The JSON types each plain type accepts, and its name in messages; list
+# and dict stand for any JSON list or object. A bool is never a number.
+_PLAIN = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          str: ((str,), "a string"), type(None): ((type(None),), "null"),
+          list: ((list,), "a list"), dict: ((dict,), "a JSON object")}
+
+
+def _is(tp, value) -> bool:
+    return tp in _PLAIN and not isinstance(value, bool) and isinstance(value, _PLAIN[tp][0])
+
+
+def _mismatch(tp, value, where: str) -> ValueError:
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in _PLAIN:
+        kind = _PLAIN[tp][1]
+    elif origin is tuple:
+        kind = "a list" if args[-1] is Ellipsis else f"a list of {len(args)}"
+    elif origin is typing.Literal:
+        kind = " or ".join(json.dumps(arg) for arg in args)
+    elif origin is types.UnionType:
+        kind = " or ".join(_PLAIN[arm][1] for arm in args)
+    else:
+        kind = "a JSON object"
+    shown = json.dumps(value)
+    shown = shown if len(shown) <= 60 else shown[:57] + "..."
+    return ValueError(f"{where} needs {kind}, got {shown}")
+
+
+def decode(tp, value, where: str):
+    """The value of type tp whose JSON form is value.
+
+    tp is int, float, str, list or dict (any JSON list or object), a
+    tuple type (from a list), a Literal, a union of plain types such as
+    float | None, a class with from_json(obj, where) such as a
+    JsonRecord, or a dict of field names to types, which reads those
+    fields of an object into a dict. An int loads as a float. A wrong
+    JSON type raises ValueError naming where, the type expected and the
+    value found; a missing field raises '<where> has no <field>'.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if isinstance(tp, dict):
+        if not isinstance(value, dict):
+            raise _mismatch(dict, value, where)
+        out = {}
+        for name, t in tp.items():
+            if name not in value:
+                raise ValueError(f"{where} has no {name!r}")
+            out[name] = decode(t, value[name], f"{where}.{name}")
+        return out
+    if origin is tuple:
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value) if isinstance(value, list) else ()
+        if not isinstance(value, list) or len(value) != len(args):
+            raise _mismatch(tp, value, where)
+        return tuple(decode(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
+    if origin is types.UnionType:
+        tp = next((arm for arm in args if _is(arm, value)), tp)
+    if _is(tp, value):
+        return float(value) if tp is float else value
+    if origin is typing.Literal and value in args:
+        return value
+    if tp in _PLAIN or origin:
+        raise _mismatch(tp, value, where)
+    return tp.from_json(value, where)
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _form(value):
+    if isinstance(value, JsonRecord):
+        return value.to_json()
+    return [_form(v) for v in value] if isinstance(value, tuple) else value
+
+
+class JsonRecord:
+    """A dataclass whose JSON form is an object of its fields.
+
+    Each field maps to its own form: a record to its object, a tuple to
+    a list, any other value to itself. Loading checks every field's
+    JSON type against its annotation through decode.
+    """
+
+    def to_json(self) -> dict:
+        return {f.name: _form(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_json(cls, obj, where: str | None = None):
+        """The record whose JSON form is obj; where names it in errors."""
+        return cls(**decode(_field_types(cls), obj, where or cls.__name__))
+
+
 @dataclass(frozen=True, order=True)
-class ResourceSpec:
+class ResourceSpec(JsonRecord):
     """A resource configuration: CPU cores and memory in GB."""
 
     cores: int
@@ -90,13 +200,6 @@ class ResourceSpec:
     @property
     def key(self) -> str:
         return f"{self.cores}c{self.memory_gb}g"
-
-    def to_json(self) -> dict:
-        return {"cores": self.cores, "memory_gb": self.memory_gb}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ResourceSpec":
-        return cls(cores=int(obj["cores"]), memory_gb=int(obj["memory_gb"]))
 
     @classmethod
     def parse(cls, text: str) -> "ResourceSpec":
@@ -117,7 +220,7 @@ DEFAULT_MEMORY_LEVELS = (2, 4, 6, 8, 12, 16)
 
 
 @dataclass(frozen=True)
-class ConfigRegion:
+class ConfigRegion(JsonRecord):
     """The bounded grid of configurations a tenant may be assigned.
 
     Bounds checks (contains) accept any integer spec inside the
@@ -158,15 +261,6 @@ class ConfigRegion:
     @property
     def max_spec(self) -> ResourceSpec:
         return ResourceSpec(self.core_levels[-1], self.memory_levels_gb[-1])
-
-    def to_json(self) -> dict:
-        return {"core_levels": list(self.core_levels),
-                "memory_levels_gb": list(self.memory_levels_gb)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ConfigRegion":
-        return cls(core_levels=tuple(int(v) for v in obj["core_levels"]),
-                   memory_levels_gb=tuple(int(v) for v in obj["memory_levels_gb"]))
 
 
 def _bracket(levels: tuple[int, ...], value: float) -> tuple[int, int, float]:
@@ -260,14 +354,18 @@ class ScalingSurface:
                 "speedups": {s.key: v for s, v in sorted(self.speedups.items())}}
 
     @classmethod
-    def from_json(cls, region: ConfigRegion, obj: dict) -> "ScalingSurface":
-        speedups = {ResourceSpec.parse(k): float(v) for k, v in obj["speedups"].items()}
-        return cls(region=region, base_spec=ResourceSpec.from_json(obj["base_spec"]),
-                   speedups=speedups)
+    def from_json(cls, region: ConfigRegion, obj,
+                  where: str = "surface") -> "ScalingSurface":
+        """The surface over region whose JSON form is obj, keyed by grid point."""
+        specs = region.specs()
+        got = decode({"base_spec": ResourceSpec,
+                      "speedups": {s.key: float for s in specs}}, obj, where)
+        return cls(region=region, base_spec=got["base_spec"],
+                   speedups=dict(zip(specs, got["speedups"].values())))
 
 
 @dataclass(frozen=True)
-class SystemIndexVector:
+class SystemIndexVector(JsonRecord):
     """One observation of the 15 system-level indexes, in a fixed order.
 
     These are the observable per-workload counters a deployed database
@@ -308,13 +406,6 @@ class SystemIndexVector:
             raise ValueError(f"expected {len(INDEX_NAMES)} values, got shape {arr.shape}")
         return cls(**{n: float(v) for n, v in zip(INDEX_NAMES, arr)})
 
-    def to_json(self) -> dict:
-        return {n: getattr(self, n) for n in INDEX_NAMES}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SystemIndexVector":
-        return cls(**{n: float(obj[n]) for n in INDEX_NAMES})
-
 
 INDEX_NAMES = tuple(f.name for f in fields(SystemIndexVector))
 
@@ -329,7 +420,7 @@ class SharedResource(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PressureSensitivity:
+class PressureSensitivity(JsonRecord):
     """Levels on the common 0..N contention scale.
 
     pressure: how hard the workload pushes on the resource.
@@ -345,7 +436,7 @@ class PressureSensitivity:
 
 
 @dataclass(frozen=True)
-class InterferenceProfile:
+class InterferenceProfile(JsonRecord):
     """Pressure and sensitivity for each shared resource."""
 
     llc: PressureSensitivity
@@ -358,18 +449,6 @@ class InterferenceProfile:
 
     def items(self) -> tuple[tuple[SharedResource, PressureSensitivity], ...]:
         return tuple((r, self.get(r)) for r in SharedResource)
-
-    def to_json(self) -> dict:
-        return {r.value: {"pressure": ps.pressure, "sensitivity": ps.sensitivity}
-                for r, ps in self.items()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "InterferenceProfile":
-        kw = {}
-        for r in SharedResource:
-            e = obj[r.value]
-            kw[r.value] = PressureSensitivity(int(e["pressure"]), int(e["sensitivity"]))
-        return cls(**kw)
 
     @classmethod
     def zero(cls) -> "InterferenceProfile":
@@ -416,12 +495,12 @@ class KmpsTrack:
         return list(self.values)
 
     @classmethod
-    def from_json(cls, obj) -> "KmpsTrack":
-        return cls(values=tuple(float(v) for v in obj))
+    def from_json(cls, obj, where: str = "kmps") -> "KmpsTrack":
+        return cls(values=decode(tuple[float, ...], obj, where))
 
 
 @dataclass(frozen=True)
-class NodeConstants:
+class NodeConstants(JsonRecord):
     """Physical capacities of one node's shared resources.
 
     Used both to discretize measured usage into pressure levels and to
@@ -442,20 +521,3 @@ class NodeConstants:
         for name in ("phy_membw_gbps", "phy_network_gbps", "iops_per_level", "kmps_per_level"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-    def to_json(self) -> dict:
-        return {"phy_membw_gbps": self.phy_membw_gbps,
-                "phy_network_gbps": self.phy_network_gbps,
-                "iops_per_level": self.iops_per_level,
-                "llc_ways": self.llc_ways,
-                "levels": self.levels,
-                "kmps_per_level": self.kmps_per_level}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "NodeConstants":
-        return cls(phy_membw_gbps=float(obj["phy_membw_gbps"]),
-                   phy_network_gbps=float(obj["phy_network_gbps"]),
-                   iops_per_level=float(obj["iops_per_level"]),
-                   llc_ways=int(obj["llc_ways"]),
-                   levels=int(obj["levels"]),
-                   kmps_per_level=float(obj["kmps_per_level"]))

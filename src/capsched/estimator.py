@@ -26,19 +26,23 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
 from .core import (
     InterferenceProfile,
+    JsonRecord,
     KmpsTrack,
     NodeConstants,
     PressureSensitivity,
     SharedResource,
+    decode,
     round_half_up,
 )
 
 __all__ = [
+    "RATE_FIELDS",
     "ResourceFootprint",
     "SimulatedProbe",
     "WorkloadProbe",
@@ -62,7 +66,7 @@ STRESS_DROP_PER_LEVEL = 0.15
 
 
 @dataclass(frozen=True)
-class ResourceFootprint:
+class ResourceFootprint(JsonRecord):
     """Ground truth of how one workload uses the shared resources.
 
     Usage rates are the values at full activity (largest config);
@@ -92,33 +96,20 @@ class ResourceFootprint:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    def to_json(self) -> dict:
-        return {"kmps_base": self.kmps_base,
-                "demand_ways": self.demand_ways,
-                "demand_slope": self.demand_slope,
-                "membw_gbps": self.membw_gbps,
-                "iops": self.iops,
-                "network_gbps": self.network_gbps,
-                "sens_membw": self.sens_membw,
-                "sens_disk": self.sens_disk,
-                "sens_network": self.sens_network}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ResourceFootprint":
-        return cls(kmps_base=float(obj["kmps_base"]),
-                   demand_ways=float(obj["demand_ways"]),
-                   demand_slope=float(obj["demand_slope"]),
-                   membw_gbps=float(obj["membw_gbps"]),
-                   iops=float(obj["iops"]),
-                   network_gbps=float(obj["network_gbps"]),
-                   sens_membw=int(obj["sens_membw"]),
-                   sens_disk=int(obj["sens_disk"]),
-                   sens_network=int(obj["sens_network"]))
-
     def kmps_at(self, ways: float) -> float:
         """Kmps at full activity with the allocation capped at `ways`."""
         return self.kmps_base * (1.0 + self.demand_slope
                                  * max(0.0, self.demand_ways - ways))
+
+
+# Each rate resource's ResourceFootprint fields: its usage rate at full
+# activity and its sensitivity level. The order is the order in which
+# build_profile probes them, so noisy probes draw noise in that order.
+RATE_FIELDS = {
+    SharedResource.MEMORY_BANDWIDTH: ("membw_gbps", "sens_membw"),
+    SharedResource.DISK: ("iops", "sens_disk"),
+    SharedResource.NETWORK: ("network_gbps", "sens_network"),
+}
 
 
 class WorkloadProbe(abc.ABC):
@@ -185,18 +176,11 @@ class SimulatedProbe(WorkloadProbe):
         f, a = self._footprint, self._activity
         if resource is SharedResource.LLC:
             return a * f.kmps_at(self._constants.llc_ways)
-        if resource is SharedResource.MEMORY_BANDWIDTH:
-            return a * f.membw_gbps
-        if resource is SharedResource.DISK:
-            return a * f.iops
-        return a * f.network_gbps
+        return a * getattr(f, RATE_FIELDS[resource][0])
 
     def _tolerance(self, resource: SharedResource) -> int:
-        f, n = self._footprint, self._constants.levels
-        sens = {SharedResource.MEMORY_BANDWIDTH: f.sens_membw,
-                SharedResource.DISK: f.sens_disk,
-                SharedResource.NETWORK: f.sens_network}[resource]
-        return n - min(sens, n)
+        n = self._constants.levels
+        return n - min(getattr(self._footprint, RATE_FIELDS[resource][1]), n)
 
     def read_usage(self, resource: SharedResource) -> float:
         return self._noisy(self._solo_usage(resource))
@@ -357,9 +341,7 @@ def build_profile(probe: WorkloadProbe, reference_tracks=None) -> InterferencePr
         reference_tracks = stress_reference_tracks(probe.constants)
     return InterferenceProfile(
         llc=quantify_llc(probe, reference_tracks),
-        membw=quantify_rate(probe, SharedResource.MEMORY_BANDWIDTH),
-        disk=quantify_rate(probe, SharedResource.DISK),
-        network=quantify_rate(probe, SharedResource.NETWORK))
+        **{r.value: quantify_rate(probe, r) for r in RATE_FIELDS})
 
 
 def tracks_to_json(tracks) -> dict:
@@ -369,8 +351,9 @@ def tracks_to_json(tracks) -> dict:
                        for level, track in tracks]}
 
 
-def tracks_from_json(obj: dict) -> tuple[tuple[int, KmpsTrack], ...]:
-    if obj.get("schema") != "reference-tracks/v1":
-        raise ValueError(f"not a reference-tracks file: schema={obj.get('schema')!r}")
-    return tuple((int(t["level"]), KmpsTrack.from_json(t["kmps"]))
-                 for t in obj["tracks"])
+def tracks_from_json(obj, where: str = "tracks") -> tuple[tuple[int, KmpsTrack], ...]:
+    rows = decode({"schema": Literal["reference-tracks/v1"], "tracks": list},
+                  obj, where)["tracks"]
+    return tuple(tuple(decode({"level": int, "kmps": KmpsTrack}, row,
+                              f"{where}.tracks[{i}]").values())
+                 for i, row in enumerate(rows))

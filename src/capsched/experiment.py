@@ -9,10 +9,9 @@ data with enough raw per-row fields to recompute every aggregate.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -22,9 +21,12 @@ from .core import (
     CapacityExhaustedError,
     ConfigRegion,
     InfeasibleError,
+    JsonRecord,
     ResourceSpec,
     ScalingSurface,
     SystemIndexVector,
+    decode,
+    read_json,
 )
 from .estimator import build_profile, stress_reference_tracks
 from .planner import (
@@ -63,28 +65,8 @@ from .workload_synth import (
 )
 
 
-# JSON types a config value may take, keyed by the type of the field's
-# default; a None default (theta) stands for an optional number.
-_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-               str: ((str,), "a string"),
-               type(None): ((int, float, type(None)), "a number or null")}
-
-
-def _check_json_type(name: str, value, default) -> None:
-    """Raise ValueError unless value has the JSON type of default."""
-    if isinstance(default, tuple):
-        if not isinstance(value, list):
-            raise ValueError(f"config key {name!r} needs a list, got {json.dumps(value)}")
-        for i, item in enumerate(value):
-            _check_json_type(f"{name}[{i}]", item, default[0])
-        return
-    accepted, kind = _JSON_TYPES[type(default)]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ValueError(f"config key {name!r} needs {kind}, got {json.dumps(value)}")
-
-
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(JsonRecord):
     """Every knob of the desk-scale studies, overridable from JSON."""
 
     rng_seed: int = 0
@@ -166,31 +148,21 @@ class ExperimentConfig:
                            node_memory_gb=self.node_memory_gb,
                            gamma=self.gamma, theta=self.theta)
 
-    def to_json(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
     @classmethod
-    def from_json(cls, obj: dict) -> "ExperimentConfig":
-        """Config from a JSON object whose values have their defaults' JSON types."""
+    def from_json(cls, obj) -> "ExperimentConfig":
+        """Config from a JSON object of overrides; a key left out keeps its default."""
         if not isinstance(obj, dict):
             raise ValueError("config must be a JSON object")
-        defaults = {f.name: f.default for f in fields(cls)}
-        unknown = set(obj) - set(defaults)
+        hints = get_type_hints(cls)
+        unknown = set(obj) - set(hints)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for name, value in obj.items():
-            _check_json_type(name, value, defaults[name])
-        return cls(**{name: tuple(value) if isinstance(value, list) else value
+        return cls(**{name: decode(hints[name], value, f"config key {name!r}")
                       for name, value in obj.items()})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 def split_train_val(config: ExperimentConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:

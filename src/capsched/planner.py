@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from .core import (
     ScalingSurface,
     SystemIndexVector,
     INDEX_NAMES,
+    decode,
+    read_json,
     write_json,
 )
 
@@ -159,10 +162,10 @@ class FeatureSelection:
                 "selected": list(self.selected)}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "FeatureSelection":
-        return cls(lam=float(obj["lambda"]),
-                   weights=tuple(float(v) for v in obj["weights"]),
-                   selected=tuple(int(v) for v in obj["selected"]))
+    def from_json(cls, obj, where: str = "selection") -> "FeatureSelection":
+        got = decode({"lambda": float, "weights": tuple[float, ...],
+                      "selected": tuple[int, ...]}, obj, where)
+        return cls(lam=got["lambda"], weights=got["weights"], selected=got["selected"])
 
 
 def select_features(samples, lam: float, tol: float = 1e-6) -> FeatureSelection:
@@ -236,12 +239,14 @@ class SurfaceClustering:
                 "cost_history": list(self.cost_history)}
 
     @classmethod
-    def from_json(cls, region: ConfigRegion, obj: dict) -> "SurfaceClustering":
-        return cls(k=int(obj["k"]),
-                   centroids=tuple(ScalingSurface.from_json(region, c)
-                                   for c in obj["centroids"]),
-                   assignments=tuple(int(a) for a in obj["assignments"]),
-                   cost_history=tuple(float(c) for c in obj["cost_history"]))
+    def from_json(cls, region: ConfigRegion, obj,
+                  where: str = "clustering") -> "SurfaceClustering":
+        got = decode({"k": int, "centroids": list, "assignments": tuple[int, ...],
+                      "cost_history": tuple[float, ...]}, obj, where)
+        got["centroids"] = tuple(
+            ScalingSurface.from_json(region, c, f"{where}.centroids[{i}]")
+            for i, c in enumerate(got["centroids"]))
+        return cls(**got)
 
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -357,12 +362,16 @@ class _Mlp:
                 "w2": self.w2.tolist(), "b2": self.b2.tolist()}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "_Mlp":
-        arrays = {name: np.array(obj[name], dtype=float)
-                  for name in ("w1", "b1", "w2", "b2")}
-        for name, array in arrays.items():
-            if array.ndim != (2 if name.startswith("w") else 1):
-                raise ValueError(f"classifier {name} has {array.ndim} dimensions")
+    def from_json(cls, obj, where: str = "model") -> "_Mlp":
+        arrays = decode(dict.fromkeys(("w1", "b1", "w2", "b2"), list), obj, where)
+        for name, value in arrays.items():
+            # Weights are matrices, biases vectors; the shape is checked
+            # before the numbers, so a flat w1 is named as such.
+            ndim = np.ndim(np.array(value, dtype=object))
+            if ndim != (2 if name.startswith("w") else 1):
+                raise ValueError(f"{where}.{name} has {ndim} dimensions")
+            tp = tuple[tuple[float, ...], ...] if ndim == 2 else tuple[float, ...]
+            arrays[name] = np.array(decode(tp, value, f"{where}.{name}"), dtype=float)
         return cls(**arrays)
 
 
@@ -401,16 +410,16 @@ class SurfaceClassifier:
                 "training_accuracy": self.training_accuracy}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SurfaceClassifier":
+    def from_json(cls, obj, where: str = "classifier") -> "SurfaceClassifier":
         """Load a classifier, checking its sizes against one another."""
-        if obj["kind"] != "mlp":
-            raise ValueError(f"unknown classifier kind {obj['kind']!r}")
-        clf = cls(base_spec=ResourceSpec.from_json(obj["base_spec"]),
-                  selection=FeatureSelection.from_json(obj["selection"]),
-                  mean=tuple(float(v) for v in obj["mean"]),
-                  std=tuple(float(v) for v in obj["std"]),
-                  n_classes=int(obj["n_classes"]), model=_Mlp.from_json(obj["model"]),
-                  training_accuracy=float(obj["training_accuracy"]))
+        got = decode({"kind": str, "base_spec": ResourceSpec,
+                      "selection": FeatureSelection, "mean": tuple[float, ...],
+                      "std": tuple[float, ...], "n_classes": int, "model": _Mlp,
+                      "training_accuracy": float}, obj, where)
+        kind = got.pop("kind")
+        if kind != "mlp":
+            raise ValueError(f"unknown classifier kind {kind!r}")
+        clf = cls(**got)
         selected, m = clf.selection.selected, clf.model
         if not all(0 <= i < len(INDEX_NAMES) for i in selected):
             raise ValueError(f"selected indexes {list(selected)} are not all in "
@@ -584,34 +593,33 @@ class ModelBundle:
         write_json(path, self.to_json())
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ModelBundle":
+    def from_json(cls, obj, where: str = "bundle") -> "ModelBundle":
         """Load a bundle, checking that its parts agree in size."""
-        schema = obj.get("schema") if isinstance(obj, dict) else None
-        if schema != "model-bundle/v1":
-            raise ValueError(f"not a model bundle file: schema={schema!r}")
-        if not isinstance(obj["classifiers"], dict):
-            raise ValueError("bundle classifiers must be a JSON object")
-        keys = list(obj["classifiers"])
-        classifiers = [SurfaceClassifier.from_json(c) for c in obj["classifiers"].values()]
+        if isinstance(obj, dict) and not isinstance(obj.get("classifiers", {}), dict):
+            raise ValueError(f"{where}.classifiers must be a JSON object")
+        got = decode({"schema": Literal["model-bundle/v1"], "seed": int,
+                      "region": ConfigRegion, "selection": FeatureSelection,
+                      "clustering": dict, "classifiers": dict,
+                      "training_workload_ids": tuple[int, ...],
+                      "validation_workload_ids": tuple[int, ...]}, obj, where)
+        keys = list(got["classifiers"])
+        classifiers = [SurfaceClassifier.from_json(c, f"{where}.classifiers[{key!r}]")
+                       for key, c in got.pop("classifiers").items()]
         if len(keys) != 1 or keys[0] != classifiers[0].base_spec.key:
             raise ValueError("a model bundle holds one classifier, keyed by its base; found "
                              f"keys {keys} for bases {[c.base_spec.key for c in classifiers]}")
-        if FeatureSelection.from_json(obj["selection"]) != classifiers[0].selection:
+        del got["schema"]
+        if got.pop("selection") != classifiers[0].selection:
             raise ValueError("bundle selection differs from its classifier's")
-        region = ConfigRegion.from_json(obj["region"])
-        clustering = SurfaceClustering.from_json(region, obj["clustering"])
-        train_ids = tuple(int(i) for i in obj["training_workload_ids"])
-        _same_sizes("class", n_classes=classifiers[0].n_classes, k=clustering.k,
+        got["classifier"] = classifiers[0]
+        got["clustering"] = clustering = SurfaceClustering.from_json(
+            got["region"], got["clustering"], f"{where}.clustering")
+        _same_sizes("class", n_classes=got["classifier"].n_classes, k=clustering.k,
                     centroids=len(clustering.centroids))
         _same_sizes("training", assignments=len(clustering.assignments),
-                    training_workload_ids=len(train_ids))
-        return cls(region=region, clustering=clustering, classifier=classifiers[0],
-                   training_workload_ids=train_ids,
-                   validation_workload_ids=tuple(int(i) for i in obj["validation_workload_ids"]),
-                   seed=int(obj["seed"]))
+                    training_workload_ids=len(got["training_workload_ids"]))
+        return cls(**got)
 
     @classmethod
     def load(cls, path) -> "ModelBundle":
-        import json
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path), f"{path}: bundle")

@@ -19,6 +19,7 @@ from .core import (
     InterferenceProfile,
     ResourceSpec,
     SharedResource,
+    decode,
 )
 
 DEFAULT_NODE_CORES = 96
@@ -27,6 +28,12 @@ DEFAULT_SCALER = 1.1
 
 POLICY_URSA = "ursa"
 POLICY_LRP = "lrp"
+
+# The JSON fields of one tenant request, in the order of place()'s
+# (workload_id, spec, profile) tuples. A workload id is an int or a
+# string, as the file gives it.
+REQUEST_FIELDS = {"workload_id": int | str, "spec": ResourceSpec,
+                  "profile": InterferenceProfile}
 
 
 @dataclass
@@ -92,18 +99,16 @@ class NodeState:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "NodeState":
-        return cls(
-            node_id=int(data["node_id"]),
-            capacity=ResourceSpec.from_json(data["capacity"]),
-            used_cores=int(data.get("used_cores", 0)),
-            used_memory_gb=int(data.get("used_memory_gb", 0)),
-            deployed=[
-                (d["workload_id"], ResourceSpec.from_json(d["spec"]),
-                 InterferenceProfile.from_json(d["profile"]))
-                for d in data.get("deployed", [])
-            ],
-        )
+    def from_json(cls, data, where: str = "node") -> "NodeState":
+        """A node from its JSON form; used_* and deployed may be left out."""
+        data = {"used_cores": 0, "used_memory_gb": 0, "deployed": [],
+                **decode(dict, data, where)}
+        got = decode({"node_id": int, "capacity": ResourceSpec, "used_cores": int,
+                      "used_memory_gb": int, "deployed": list}, data, where)
+        got["deployed"] = [
+            tuple(decode(REQUEST_FIELDS, d, f"{where}.deployed[{i}]").values())
+            for i, d in enumerate(got["deployed"])]
+        return cls(**got)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .core import (
     InterferenceProfile,
+    JsonRecord,
     NodeConstants,
     ResourceSpec,
     SharedResource,
@@ -54,31 +55,21 @@ class ClusterSpec:
         return self.constants.levels / 4.0
 
 
-Tenant = tuple[str, int, ResourceSpec, InterferenceProfile]
+Tenant = tuple[int | str, int, ResourceSpec, InterferenceProfile]
 
 
 @dataclass(frozen=True)
-class SlowdownEntry:
-    workload_id: str
+class SlowdownEntry(JsonRecord):
+    workload_id: int | str
     node_id: int
     sd: float
 
 
 @dataclass(frozen=True)
-class SlowdownReport:
+class SlowdownReport(JsonRecord):
     entries: tuple[SlowdownEntry, ...]
     p_sys: float
     unfairness: float
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [
-                {"workload_id": e.workload_id, "node_id": e.node_id, "sd": e.sd}
-                for e in self.entries
-            ],
-            "p_sys": self.p_sys,
-            "unfairness": self.unfairness,
-        }
 
     def to_csv(self) -> str:
         buf = io.StringIO()

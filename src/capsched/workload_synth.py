@@ -33,25 +33,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Literal
 
 import numpy as np
 
 from .core import (
     ConfigRegion,
     InterferenceProfile,
+    JsonRecord,
     KmpsTrack,
     NodeConstants,
     OutOfRegionError,
     PressureSensitivity,
     ResourceSpec,
     ScalingSurface,
-    SharedResource,
     SystemIndexVector,
     INDEX_NAMES,
+    decode,
+    read_json,
     write_json,
 )
 from .estimator import (
     DEGRADATION_THRESHOLD,
+    RATE_FIELDS,
     ResourceFootprint,
     SimulatedProbe,
     match_pressure,
@@ -132,7 +136,7 @@ _MIN_SHAPE_SEPARATION = 0.30
 
 
 @dataclass(frozen=True)
-class ArchetypeParams:
+class ArchetypeParams(JsonRecord):
     """Generative parameters shared by an archetype and its workloads."""
 
     alpha: float
@@ -153,36 +157,14 @@ class ArchetypeParams:
         if not 0.0 <= self.read_frac <= 1.0:
             raise ValueError("read_frac must be in [0, 1]")
 
-    def to_json(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta,
-                "sat_cores": self.sat_cores, "sat_memory": self.sat_memory,
-                "tps_base": self.tps_base, "read_frac": self.read_frac,
-                "footprint": self.footprint.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ArchetypeParams":
-        return cls(alpha=float(obj["alpha"]), beta=float(obj["beta"]),
-                   sat_cores=float(obj["sat_cores"]), sat_memory=float(obj["sat_memory"]),
-                   tps_base=float(obj["tps_base"]), read_frac=float(obj["read_frac"]),
-                   footprint=ResourceFootprint.from_json(obj["footprint"]))
-
 
 @dataclass(frozen=True)
-class WorkloadArchetype:
+class WorkloadArchetype(JsonRecord):
     """One latent scaling behavior, standing in for a benchmark variation."""
 
     archetype_id: int
     family: str
     params: ArchetypeParams
-
-    def to_json(self) -> dict:
-        return {"archetype_id": self.archetype_id, "family": self.family,
-                "params": self.params.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "WorkloadArchetype":
-        return cls(archetype_id=int(obj["archetype_id"]), family=str(obj["family"]),
-                   params=ArchetypeParams.from_json(obj["params"]))
 
 
 @dataclass(frozen=True)
@@ -207,16 +189,14 @@ class Workload:
                 "ground_truth_profile": self.ground_truth_profile.to_json()}
 
     @classmethod
-    def from_json(cls, region: ConfigRegion, obj: dict) -> "Workload":
-        return cls(workload_id=int(obj["workload_id"]),
-                   archetype_id=int(obj["archetype_id"]),
-                   noise_seed=int(obj["noise_seed"]),
-                   origin_spec=ResourceSpec.from_json(obj["origin_spec"]),
-                   params=ArchetypeParams.from_json(obj["params"]),
-                   ground_truth_surface=ScalingSurface.from_json(
-                       region, obj["ground_truth_surface"]),
-                   ground_truth_profile=InterferenceProfile.from_json(
-                       obj["ground_truth_profile"]))
+    def from_json(cls, region: ConfigRegion, obj, where: str = "workload") -> "Workload":
+        got = decode({"workload_id": int, "archetype_id": int, "noise_seed": int,
+                      "origin_spec": ResourceSpec, "params": ArchetypeParams,
+                      "ground_truth_surface": dict,
+                      "ground_truth_profile": InterferenceProfile}, obj, where)
+        got["ground_truth_surface"] = ScalingSurface.from_json(
+            region, got["ground_truth_surface"], f"{where}.ground_truth_surface")
+        return cls(**got)
 
 
 def raw_throughput(params: ArchetypeParams, cores: float, memory_gb: float) -> float:
@@ -350,15 +330,13 @@ def true_profile_at(workload: Workload, spec: ResourceSpec,
         s_ways = 0
     llc = PressureSensitivity(p_llc, ways_to_level(s_ways, w, n))
 
-    def rate_entry(resource: SharedResource, usage: float, sens: int) -> PressureSensitivity:
-        physical = rate_capacity(constants, resource)
-        return PressureSensitivity(pressure_level(usage, physical, n),
-                                   sens if usage > 0 else 0)
-
-    membw = rate_entry(SharedResource.MEMORY_BANDWIDTH, a * f.membw_gbps, f.sens_membw)
-    disk = rate_entry(SharedResource.DISK, a * f.iops, f.sens_disk)
-    network = rate_entry(SharedResource.NETWORK, a * f.network_gbps, f.sens_network)
-    return InterferenceProfile(llc=llc, membw=membw, disk=disk, network=network)
+    rates = {}
+    for resource, (rate, sens) in RATE_FIELDS.items():
+        usage = a * getattr(f, rate)
+        rates[resource.value] = PressureSensitivity(
+            pressure_level(usage, rate_capacity(constants, resource), n),
+            getattr(f, sens) if usage > 0 else 0)
+    return InterferenceProfile(llc=llc, **rates)
 
 
 def probe_for(workload: Workload, spec: ResourceSpec, constants: NodeConstants,
@@ -598,23 +576,18 @@ class WorkloadSet:
         write_json(path, self.to_json())
 
     @classmethod
-    def from_json(cls, obj: dict) -> "WorkloadSet":
-        if obj.get("schema") != "workload-set/v1":
-            raise ValueError(f"not a workload set file: schema={obj.get('schema')!r}")
-        region = ConfigRegion.from_json(obj["region"])
-        return cls(region=region,
-                   base_spec=ResourceSpec.from_json(obj["base_spec"]),
-                   constants=NodeConstants.from_json(obj["constants"]),
-                   seed=int(obj["seed"]),
-                   surface_noise=float(obj["surface_noise"]),
-                   footprint_noise=float(obj["footprint_noise"]),
-                   archetypes=tuple(WorkloadArchetype.from_json(a)
-                                    for a in obj["archetypes"]),
-                   workloads=tuple(Workload.from_json(region, w)
-                                   for w in obj["workloads"]))
+    def from_json(cls, obj, where: str = "workload_set") -> "WorkloadSet":
+        got = decode({"schema": Literal["workload-set/v1"],
+                      "region": ConfigRegion, "base_spec": ResourceSpec,
+                      "constants": NodeConstants, "seed": int, "surface_noise": float,
+                      "footprint_noise": float,
+                      "archetypes": tuple[WorkloadArchetype, ...], "workloads": list},
+                     obj, where)
+        del got["schema"]
+        got["workloads"] = tuple(Workload.from_json(got["region"], w, f"{where}.workloads[{i}]")
+                                 for i, w in enumerate(got["workloads"]))
+        return cls(**got)
 
     @classmethod
     def load(cls, path) -> "WorkloadSet":
-        import json
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path), f"{path}: workload_set")

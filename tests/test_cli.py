@@ -1,10 +1,12 @@
 """Command line surface: every subcommand end to end on a tiny study."""
 
 import contextlib
+import copy
 import io
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from capsched.cli import main
 from capsched.core import canonical_json
@@ -461,3 +463,162 @@ def test_schedule_rejects_bad_node_rows(inventory, message, workdir, tmp_path):
                          "--requests", str(workdir / "estimate" / "profiles.json"))
     assert (rc, stderr) == (1, f"error: {nodes}: {message}\n")
     assert not (out / "placements.jsonl").exists()
+
+
+def _input(kind, workdir):
+    """A valid input of each kind from the tiny run, as a JSON value."""
+    if kind == "config":
+        return TINY.to_json()
+    if kind == "bundle":
+        return json.loads((workdir / "train" / "bundle.json").read_text())
+    if kind == "workloads":
+        return json.loads((workdir / "gen" / "workloads.json").read_text())
+    if kind == "requests":
+        profiles = json.loads((workdir / "estimate" / "profiles.json").read_text())
+        return {"requests": profiles["profiles"]}
+    if kind == "nodes":
+        return {"nodes": [{"node_id": i, "capacity": {"cores": 96, "memory_gb": 256}}
+                          for i in range(TINY.cluster_nodes)]}
+    assert kind == "counted"
+    return {"count": TINY.cluster_nodes, "cores": 96, "memory_gb": 256}
+
+
+def _read_with(kind, text, workdir, out):
+    """Run the command that reads an input of this kind from a file holding text."""
+    path = out / f"{kind}.json"
+    path.write_text(text, encoding="utf-8")
+    config = str(workdir / "config.json")
+    argv = {
+        "config": ["gen", "--config", str(path)],
+        "bundle": ["plan", "--config", config, "--bundle", str(path),
+                   "--indexes", str(workdir / "indexes.json"), "--current", "1c2g"],
+        "workloads": ["estimate", "--config", config, "--workloads", str(path)],
+        "requests": ["schedule", "--config", config, "--requests", str(path)],
+    }.get(kind, ["schedule", "--config", config, "--nodes", str(path),
+                 "--requests", str(workdir / "estimate" / "profiles.json")])
+    rc, _, stderr = _run(*argv, "--out", str(out / "out"))
+    return rc, stderr, path
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("requests", lambda d: d["requests"][0].update(spec=5),
+     "request row 0.spec needs a JSON object, got 5"),
+    ("requests", lambda d: d["requests"][0]["profile"].update(llc=[1]),
+     "request row 0.profile.llc needs a JSON object, got [1]"),
+    ("nodes", lambda d: d["nodes"][0].update(capacity=5),
+     "node row 0.capacity needs a JSON object, got 5"),
+    ("bundle", lambda d: _classifier(d).update(mean=3.0),
+     "bundle.classifiers['6c8g'].mean needs a list, got 3.0"),
+    ("bundle", lambda d: d["clustering"]["centroids"].__setitem__(0, {"x": 1}),
+     "bundle.clustering.centroids[0] has no 'base_spec'"),
+    ("counted", lambda d: d.update(count=3.7),
+     "node inventory.count needs an integer, got 3.7"),
+    ("counted", lambda d: d.update(count="3"),
+     "node inventory.count needs an integer, got \"3\""),
+    ("workloads", lambda d: d["constants"].update(levels="20"),
+     "workload_set.constants.levels needs an integer, got \"20\""),
+    ("workloads", lambda d: d["workloads"][1]["params"].update(alpha=True),
+     "workload_set.workloads[1].params.alpha needs a number, got true"),
+])
+def test_value_of_wrong_json_type_exits_1_naming_it(kind, edit, message, workdir, tmp_path):
+    doc = _input(kind, workdir)
+    edit(doc)
+    rc, stderr, path = _read_with(kind, json.dumps(doc), workdir, tmp_path)
+    assert (rc, stderr) == (1, f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("kind", ["config", "bundle", "nodes"])
+def test_truncated_file_is_named(kind, workdir, tmp_path):
+    text = canonical_json(_input(kind, workdir))
+    rc, stderr, path = _read_with(kind, text[:len(text) // 2], workdir, tmp_path)
+    assert rc == 1 and _one_error_line(stderr), stderr
+    assert stderr.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "line 2 needs a JSON object, got [1, 2]"),
+    ('{"node_id": 0}', "line 2 has no 'workload_id'"),
+    ('{"workload_id": 0, "node_id": "1"}', "line 2.node_id needs an integer, got \"1\""),
+    ('{"workload_id": 0, "node_id": 1.5}', "line 2.node_id needs an integer, got 1.5"),
+    ('{"workload_id": "ghost", "node_id": 0}',
+     "line 2: placement for unknown workload 'ghost'"),
+    ('{"workload_id": 0, "node_id": 1', "line 2: Expecting ',' delimiter"),
+])
+def test_simulate_rejects_bad_placement_rows(line, message, workdir, tmp_path):
+    first = (workdir / "schedule" / "placements.jsonl").read_text().split("\n")[0]
+    placements = tmp_path / "placements.jsonl"
+    placements.write_text(f"{first}\n{line}\n")
+    rc, _, stderr = _run("simulate", "--config", str(workdir / "config.json"),
+                         "--out", str(tmp_path / "out"), "--placements", str(placements),
+                         "--requests", str(workdir / "estimate" / "profiles.json"))
+    assert rc == 1 and _one_error_line(stderr), stderr
+    assert stderr.startswith(f"error: {placements}: {message}")
+
+
+def _kind(value):
+    """The JSON type of a value; an int and a float are both numbers."""
+    if isinstance(value, bool):
+        return "bool"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+def _paths(doc, path=()):
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text('a"\n', max_size=3),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text("ab", max_size=2), inner, max_size=2),
+    max_leaves=4)
+
+
+@st.composite
+def _broken(draw, doc, deletions, root, valid):
+    """doc with one value swapped for one of another JSON type, or one key deleted."""
+    path = draw(st.sampled_from(list(_paths(doc))[0 if root else 1:]))
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if deletions and path and isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+        return doc
+    old = parent[path[-1]] if path else doc
+    value = draw(_JSON.filter(lambda v: _kind(v) != _kind(old)))
+    assume(not valid(path, value))
+    if not path:
+        return value
+    parent[path[-1]] = value
+    return doc
+
+
+# How each input may be broken. A config and a counted inventory may leave
+# out any key, theta may be a number, a workload id may be a string, and a
+# requests file may be a bare list of rows, so none of these is a fault.
+_BREAKS = {
+    "config": dict(deletions=False, root=True,
+                   valid=lambda path, value: path == ("theta",) and _kind(value) == "number"),
+    "bundle": dict(deletions=True, root=True, valid=lambda path, value: False),
+    "requests": dict(deletions=True, root=False,
+                     valid=lambda path, value: path[-1] == "workload_id"
+                     and isinstance(value, str)),
+    "nodes": dict(deletions=True, root=True, valid=lambda path, value: False),
+    "counted": dict(deletions=False, root=True, valid=lambda path, value: False),
+}
+
+
+@pytest.mark.parametrize("kind", list(_BREAKS))
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_broken_input_exits_1_with_one_error_line(kind, data, workdir):
+    doc = data.draw(_broken(_input(kind, workdir), **_BREAKS[kind]), label="input")
+    out = workdir / "broken"
+    out.mkdir(exist_ok=True)
+    rc, stderr, _ = _read_with(kind, json.dumps(doc), workdir, out)
+    assert rc == 1 and _one_error_line(stderr), stderr

@@ -214,6 +214,8 @@ def _load_requests(path) -> list[tuple[int | str, ResourceSpec, InterferenceProf
     rows = raw.get("requests", raw.get("profiles")) if isinstance(raw, dict) else raw
     if not isinstance(rows, list):
         raise ValueError(f"{path}: requests file needs a 'requests' or 'profiles' list")
+    if not rows:
+        raise ValueError(f"{path}: requests file lists no requests")
     return [tuple(decode(REQUEST_FIELDS, row, where).values())
             for where, row in _rows(path, rows, "request")]
 
@@ -278,7 +280,7 @@ def cmd_simulate(args) -> int:
                       node_memory_gb=cap.memory_gb)
     requests = {wid: (spec, profile)
                 for wid, spec, profile in _load_requests(args.requests)}
-    tenants = []
+    tenants = {}
     with open(args.placements, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
@@ -289,12 +291,16 @@ def cmd_simulate(args) -> int:
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             row = decode({"workload_id": int | str, "node_id": int}, row, where)
-            wid = row["workload_id"]
+            wid, node_id = row["workload_id"], row["node_id"]
             if wid not in requests:
                 raise ValueError(f"{where}: placement for unknown workload {wid!r}")
+            if wid in tenants:
+                raise ValueError(f"{where}: workload {wid!r} is placed twice")
+            if not 0 <= node_id < len(nodes):
+                raise ValueError(f"{where}: node {node_id} is not in the inventory")
             spec, profile = requests[wid]
-            tenants.append((wid, row["node_id"], spec, profile))
-    report = simulate_colocated(tenants, cluster)
+            tenants[wid] = (wid, node_id, spec, profile)
+    report = simulate_colocated(list(tenants.values()), cluster)
     write_json(out / "simulation.json",
                {"schema": "simulation-report/v1", **report.to_json()})
     (out / "simulation.csv").write_text(report.to_csv(), encoding="utf-8")

@@ -264,104 +264,97 @@ class ConfigRegion(JsonRecord):
 
 
 def _bracket(levels: tuple[int, ...], value: float) -> tuple[int, int, float]:
-    """Bracketing grid levels and the interpolation weight of the upper one."""
+    """Indexes of the bracketing grid levels and the interpolation weight of the upper one."""
     if value <= levels[0]:
-        return levels[0], levels[0], 0.0
+        return 0, 0, 0.0
     if value >= levels[-1]:
-        return levels[-1], levels[-1], 0.0
-    for lo, hi in zip(levels, levels[1:]):
+        return len(levels) - 1, len(levels) - 1, 0.0
+    for i, (lo, hi) in enumerate(zip(levels, levels[1:])):
         if lo <= value <= hi:
-            t = 0.0 if hi == lo else (value - lo) / (hi - lo)
-            return lo, hi, t
+            return i, i + 1, (value - lo) / (hi - lo)
     raise AssertionError("unreachable")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalingSurface:
     """Relative speedup of one workload over a config region.
 
-    Values are TPS(spec) / TPS(base_spec), so the entry at base_spec is
-    exactly 1.0. Off-grid specs inside the region bounds are evaluated
-    by bilinear interpolation between the bracketing grid levels, which
-    preserves monotonicity and is exact on grid points.
+    values[i, j] is TPS / TPS(base_spec) at core_levels[i] and
+    memory_levels_gb[j], a read-only float array whose ravel() follows
+    region.specs(); the entry at base_spec is exactly 1.0. Off-grid
+    specs inside the region bounds are evaluated by bilinear
+    interpolation between the bracketing grid levels, which preserves
+    monotonicity and is exact on grid points.
     """
 
     region: ConfigRegion
     base_spec: ResourceSpec
-    speedups: dict[ResourceSpec, float]
+    values: np.ndarray
 
     def __post_init__(self):
-        missing = [s for s in self.region.specs() if s not in self.speedups]
-        if missing:
-            raise ValueError(f"surface missing {len(missing)} grid points, e.g. {missing[0]}")
+        values = np.array(self.values, dtype=float)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        shape = (len(self.region.core_levels), len(self.region.memory_levels_gb))
+        if values.shape != shape:
+            raise ValueError(f"surface needs shape {shape}, got {values.shape}")
         if not self.region.is_grid_point(self.base_spec):
             raise ValueError(f"base {self.base_spec} not on grid")
-        base = self.speedups[self.base_spec]
+        base = values.item(self._index(self.base_spec))
         if not math.isclose(base, 1.0, rel_tol=0, abs_tol=1e-9):
             raise ValueError(f"speedup at base must be 1.0, got {base}")
-        for s, v in self.speedups.items():
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"speedup at {s.key} must be finite positive, got {v}")
+        bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
+        if len(bad):
+            raise ValueError(f"speedup at {self.region.specs()[bad[0]].key} must be "
+                             f"finite positive, got {values.item(bad[0])}")
+
+    def __eq__(self, other):
+        if not isinstance(other, ScalingSurface):
+            return NotImplemented
+        return (self.region == other.region and self.base_spec == other.base_spec
+                and np.array_equal(self.values, other.values))
+
+    def _index(self, spec: ResourceSpec) -> tuple[int, int]:
+        return (self.region.core_levels.index(spec.cores),
+                self.region.memory_levels_gb.index(spec.memory_gb))
 
     def speedup_at(self, spec: ResourceSpec) -> float:
         self.region.require(spec)
-        got = self.speedups.get(spec)
-        if got is not None:
-            return got
+        if self.region.is_grid_point(spec):
+            return self.values.item(self._index(spec))
         c0, c1, tc = _bracket(self.region.core_levels, spec.cores)
         m0, m1, tm = _bracket(self.region.memory_levels_gb, spec.memory_gb)
-        s = self.speedups
-        lo = s[ResourceSpec(c0, m0)] + tm * (s[ResourceSpec(c0, m1)] - s[ResourceSpec(c0, m0)])
-        hi = s[ResourceSpec(c1, m0)] + tm * (s[ResourceSpec(c1, m1)] - s[ResourceSpec(c1, m0)])
+        v = self.values.item
+        lo = v(c0, m0) + tm * (v(c0, m1) - v(c0, m0))
+        hi = v(c1, m0) + tm * (v(c1, m1) - v(c1, m0))
         return lo + tc * (hi - lo)
-
-    def vector(self) -> np.ndarray:
-        """Speedups flattened in the region's canonical spec order."""
-        return np.array([self.speedups[s] for s in self.region.specs()], dtype=float)
-
-    @classmethod
-    def from_vector(cls, region: ConfigRegion, base_spec: ResourceSpec,
-                    values: np.ndarray) -> "ScalingSurface":
-        specs = region.specs()
-        if len(values) != len(specs):
-            raise ValueError(f"expected {len(specs)} values, got {len(values)}")
-        return cls(region=region, base_spec=base_spec,
-                   speedups={s: float(v) for s, v in zip(specs, values)})
 
     def rebase(self, new_base: ResourceSpec) -> "ScalingSurface":
         """Re-anchor so the entry at new_base becomes 1.0."""
-        anchor = self.speedups[new_base] if new_base in self.speedups else None
-        if anchor is None:
+        if not self.region.is_grid_point(new_base):
             raise ValueError(f"{new_base} not on grid")
-        rebased = {s: v / anchor for s, v in self.speedups.items()}
-        rebased[new_base] = 1.0
-        return ScalingSurface(region=self.region, base_spec=new_base, speedups=rebased)
+        return ScalingSurface(region=self.region, base_spec=new_base,
+                              values=self.values / self.values[self._index(new_base)])
 
     def is_monotone(self, tol: float = 1e-9) -> bool:
         """Non-decreasing along both resource axes."""
-        cl, ml = self.region.core_levels, self.region.memory_levels_gb
-        for i, c in enumerate(cl):
-            for j, m in enumerate(ml):
-                v = self.speedups[ResourceSpec(c, m)]
-                if i + 1 < len(cl) and self.speedups[ResourceSpec(cl[i + 1], m)] < v - tol:
-                    return False
-                if j + 1 < len(ml) and self.speedups[ResourceSpec(c, ml[j + 1])] < v - tol:
-                    return False
-        return True
+        v = self.values
+        return bool((v[1:] >= v[:-1] - tol).all() and (v[:, 1:] >= v[:, :-1] - tol).all())
 
     def to_json(self) -> dict:
         return {"base_spec": self.base_spec.to_json(),
-                "speedups": {s.key: v for s, v in sorted(self.speedups.items())}}
+                "speedups": dict(zip((s.key for s in self.region.specs()),
+                                     self.values.ravel().tolist()))}
 
     @classmethod
     def from_json(cls, region: ConfigRegion, obj,
                   where: str = "surface") -> "ScalingSurface":
         """The surface over region whose JSON form is obj, keyed by grid point."""
-        specs = region.specs()
         got = decode({"base_spec": ResourceSpec,
-                      "speedups": {s.key: float for s in specs}}, obj, where)
-        return cls(region=region, base_spec=got["base_spec"],
-                   speedups=dict(zip(specs, got["speedups"].values())))
+                      "speedups": {s.key: float for s in region.specs()}}, obj, where)
+        values = np.reshape(list(got["speedups"].values()),
+                            (len(region.core_levels), len(region.memory_levels_gb)))
+        return cls(region=region, base_spec=got["base_spec"], values=values)
 
 
 @dataclass(frozen=True)

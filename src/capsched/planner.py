@@ -61,6 +61,9 @@ DEFAULT_K = 20
 DEFAULT_EPSILON = 0.05
 DEFAULT_COST_WEIGHTS = (1.0, 0.25)
 
+# Lloyd's loop takes about 20 steps on the worlds studied; the cap catches a bug.
+KMEANS_MAX_ITER = 300
+
 MLP_HIDDEN = 32
 MLP_EPOCHS = 500
 # Full-batch descent needs a step this large to fit 20 classes from
@@ -270,13 +273,13 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
-def cluster_surfaces(surfaces, k: int, rng_seed: int,
-                     max_iter: int = 300) -> SurfaceClustering:
-    """Lloyd's K-means with k-means++ seeding on surface vectors.
+def cluster_surfaces(surfaces, k: int, rng_seed: int) -> SurfaceClustering:
+    """Lloyd's K-means with k-means++ seeding on flattened surface grids.
 
-    Runs to an assignment fixpoint (or max_iter), breaking distance
-    ties toward the lower cluster index. A cluster emptied during an
-    update is reseeded with the point farthest from its own centroid.
+    Runs to an assignment fixpoint, breaking distance ties toward the
+    lower cluster index, and raises RuntimeError if that takes more than
+    KMEANS_MAX_ITER assignment steps. A cluster emptied during an update
+    is reseeded with the point farthest from its own centroid.
     """
     surfaces = list(surfaces)
     if k < 1:
@@ -287,13 +290,13 @@ def cluster_surfaces(surfaces, k: int, rng_seed: int,
     for s in surfaces[1:]:
         if s.region != region or s.base_spec != base:
             raise ValueError("surfaces must share one region and base spec")
-    x = np.stack([s.vector() for s in surfaces])
+    x = np.stack([s.values.ravel() for s in surfaces])
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 13]))
     centers = _kmeanspp_init(x, k, rng)
 
     assignments = None
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(len(x)), new_assign].sum()))
@@ -307,7 +310,11 @@ def cluster_surfaces(surfaces, k: int, rng_seed: int,
                 centers[j] = x[members].mean(axis=0)
             else:
                 centers[j] = x[int(np.argmax(own))]
-    centroids = tuple(ScalingSurface.from_vector(region, base, c) for c in centers)
+    else:
+        raise RuntimeError(f"k-means with k={k} did not reach a fixpoint "
+                           f"in {KMEANS_MAX_ITER} iterations")
+    shape = surfaces[0].values.shape
+    centroids = tuple(ScalingSurface(region, base, c.reshape(shape)) for c in centers)
     return SurfaceClustering(k=k, centroids=centroids,
                              assignments=tuple(int(a) for a in assignments),
                              cost_history=tuple(history))
@@ -485,14 +492,9 @@ def surface_error(predicted: ScalingSurface, actual: ScalingSurface) -> float:
     """
     if predicted.region != actual.region or predicted.base_spec != actual.base_spec:
         raise ValueError("surfaces must share region and base spec")
-    total = 0.0
-    specs = predicted.region.specs()
-    for spec in specs:
-        a = actual.speedups[spec]
-        if a == 0:
-            raise ValueError("actual speedup of 0 is not meaningful")
-        total += abs(predicted.speedups[spec] / a - 1.0)
-    return total / len(specs)
+    ratios = np.abs(predicted.values / actual.values - 1.0)
+    # cumsum adds left to right in grid order; np.sum would add pairwise.
+    return np.cumsum(ratios).item(-1) / ratios.size
 
 
 @dataclass(frozen=True)
@@ -534,20 +536,18 @@ def plan_capacity(request: PlanningRequest, surface: ScalingSurface) -> Resource
         threshold = request.target_speedup * current
     else:
         threshold = (1.0 - request.performance_tolerance) * current
-    best = None
-    best_ratio = 0.0
-    for spec in surface.region.specs():
-        s = surface.speedups[spec]
-        best_ratio = max(best_ratio, s / current)
-        if s >= threshold:
-            key = (spec_cost(spec, request.cost_weights), spec.cores, spec.memory_gb)
-            if best is None or key < best[0]:
-                best = (key, spec)
-    if best is None:
+    feasible = np.flatnonzero(surface.values >= threshold)
+    if not len(feasible):
+        best_ratio = surface.values.max().item() / current
         raise InfeasibleError(
             f"no spec reaches {threshold / current:.3f}x of current; "
             f"best achievable is {best_ratio:.3f}x", best_speedup=best_ratio)
-    return best[1]
+    cores, memory = surface.region.core_levels, surface.region.memory_levels_gb
+    w_cores, w_memory = request.cost_weights
+    cost = np.add.outer(np.multiply(w_cores, cores), np.multiply(w_memory, memory))
+    # The first cheapest entry, cores-major, has the fewest cores, then the least memory.
+    i, j = divmod(int(feasible[np.argmin(cost.ravel()[feasible])]), len(memory))
+    return ResourceSpec(cores[i], memory[j])
 
 
 @dataclass(frozen=True)

@@ -220,11 +220,9 @@ def activity(params: ArchetypeParams, region: ConfigRegion, spec: ResourceSpec) 
 def tabulate_surface(params: ArchetypeParams, region: ConfigRegion,
                      base_spec: ResourceSpec) -> ScalingSurface:
     base = raw_throughput(params, base_spec.cores, base_spec.memory_gb)
-    speedups = {}
-    for spec in region.specs():
-        speedups[spec] = raw_throughput(params, spec.cores, spec.memory_gb) / base
-    speedups[base_spec] = 1.0
-    return ScalingSurface(region=region, base_spec=base_spec, speedups=speedups)
+    values = [[raw_throughput(params, c, m) / base for m in region.memory_levels_gb]
+              for c in region.core_levels]
+    return ScalingSurface(region=region, base_spec=base_spec, values=values)
 
 
 def tps_at(workload: Workload, spec: ResourceSpec) -> float:

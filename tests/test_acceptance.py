@@ -117,12 +117,13 @@ def test_criterion_1_formula_oracles():
     base = ResourceSpec(6, 8)
     specs = region.specs()
     base_idx = specs.index(base)
+    shape = (len(region.core_levels), len(region.memory_levels_gb))
     for _ in range(1000):
         pred_v = rng.uniform(0.2, 5.0, size=len(specs))
         act_v = rng.uniform(0.2, 5.0, size=len(specs))
         pred_v[base_idx] = act_v[base_idx] = 1.0
-        predicted = ScalingSurface.from_vector(region, base, pred_v)
-        actual = ScalingSurface.from_vector(region, base, act_v)
+        predicted = ScalingSurface(region, base, pred_v.reshape(shape))
+        actual = ScalingSurface(region, base, act_v.reshape(shape))
         want = sum(abs(p / a - 1.0) for p, a in zip(pred_v, act_v)) / len(specs)
         assert _rel_close(surface_error(predicted, actual), want)
 

@@ -555,6 +555,37 @@ def test_simulate_rejects_bad_placement_rows(line, message, workdir, tmp_path):
     assert stderr.startswith(f"error: {placements}: {message}")
 
 
+@pytest.mark.parametrize("case", ["repeated workload", "unknown node"])
+def test_simulate_names_the_line_placing_a_workload_twice_or_off_the_inventory(
+        case, workdir, tmp_path):
+    lines = (workdir / "schedule" / "placements.jsonl").read_text().split("\n")
+    first, second = json.loads(lines[0]), json.loads(lines[1])
+    if case == "repeated workload":
+        bad, message = first, f"workload {first['workload_id']!r} is placed twice"
+    else:
+        bad = {**second, "node_id": TINY.cluster_nodes}
+        message = f"node {TINY.cluster_nodes} is not in the inventory"
+    placements = tmp_path / "placements.jsonl"
+    placements.write_text(f"{lines[0]}\n{json.dumps(bad)}\n")
+    rc, _, stderr = _run("simulate", "--config", str(workdir / "config.json"),
+                         "--out", str(tmp_path / "out"), "--placements", str(placements),
+                         "--requests", str(workdir / "estimate" / "profiles.json"))
+    assert (rc, stderr) == (1, f"error: {placements}: line 2: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["schedule", "simulate"])
+def test_requests_file_without_requests_exits_1_naming_it(command, workdir, tmp_path):
+    requests = tmp_path / "requests.json"
+    requests.write_text(json.dumps({"requests": []}))
+    out = tmp_path / "out"
+    extra = ["--placements", str(workdir / "schedule" / "placements.jsonl")]
+    rc, _, stderr = _run(command, "--config", str(workdir / "config.json"),
+                         "--out", str(out), "--requests", str(requests),
+                         *(extra if command == "simulate" else []))
+    assert (rc, stderr) == (1, f"error: {requests}: requests file lists no requests\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def _kind(value):
     """The JSON type of a value; an int and a float are both numbers."""
     if isinstance(value, bool):

@@ -53,18 +53,20 @@ def test_region_enumerates_grid():
                                            max(DEFAULT_MEMORY_LEVELS))
 
 
+def _grid_surface(region, base, value_of):
+    values = [[value_of(ResourceSpec(c, m)) for m in region.memory_levels_gb]
+              for c in region.core_levels]
+    return ScalingSurface(region=region, base_spec=base, values=values)
+
+
 def _flat_surface(region, base, value=1.0):
-    speedups = {spec: value for spec in region.specs()}
-    speedups[base] = 1.0
-    return ScalingSurface(region=region, base_spec=base, speedups=speedups)
+    return _grid_surface(region, base, lambda s: 1.0 if s == base else value)
 
 
 def _linear_surface(region, base):
     # speedup proportional to cores + memory, normalized at base
-    raw = {s: float(s.cores + s.memory_gb) for s in region.specs()}
-    norm = raw[base]
-    return ScalingSurface(region=region, base_spec=base,
-                          speedups={s: v / norm for s, v in raw.items()})
+    norm = float(base.cores + base.memory_gb)
+    return _grid_surface(region, base, lambda s: float(s.cores + s.memory_gb) / norm)
 
 
 def test_surface_exact_on_grid_points():
@@ -115,9 +117,9 @@ def test_surface_monotone_detection():
     base = ResourceSpec(6, 8)
     good = _linear_surface(region, base)
     assert good.is_monotone()
-    speedups = dict(good.speedups)
-    speedups[ResourceSpec(12, 16)] = 0.1  # biggest config suddenly slowest
-    bad = ScalingSurface(region=region, base_spec=base, speedups=speedups)
+    values = good.values.copy()
+    values[-1, -1] = 0.1  # biggest config (12c16g) suddenly slowest
+    bad = ScalingSurface(region=region, base_spec=base, values=values)
     assert not bad.is_monotone()
 
 
@@ -125,14 +127,6 @@ def test_surface_json_roundtrip():
     region = ConfigRegion()
     surf = _linear_surface(region, ResourceSpec(6, 8))
     clone = ScalingSurface.from_json(region, surf.to_json())
-    assert clone == surf
-
-
-def test_surface_vector_roundtrip():
-    region = ConfigRegion()
-    surf = _linear_surface(region, ResourceSpec(6, 8))
-    vec = surf.vector()
-    clone = ScalingSurface.from_vector(region, ResourceSpec(6, 8), vec)
     assert clone == surf
 
 

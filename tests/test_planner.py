@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from capsched import planner
 from capsched.core import (
     ConfigRegion,
     InfeasibleError,
@@ -28,6 +29,7 @@ from capsched.planner import (
 
 REGION = ConfigRegion()
 BASE = ResourceSpec(6, 8)
+SHAPE = (len(REGION.core_levels), len(REGION.memory_levels_gb))
 
 
 def _hadamard(n):
@@ -112,8 +114,8 @@ def test_kmeans_cost_history_non_increasing(small_wset):
 def test_kmeans_reaches_assignment_fixpoint(small_wset):
     surfaces = _surfaces(small_wset)
     clustering = cluster_surfaces(surfaces, k=4, rng_seed=3)
-    x = np.stack([s.vector() for s in surfaces])
-    centers = np.stack([c.vector() for c in clustering.centroids])
+    x = np.stack([s.values.ravel() for s in surfaces])
+    centers = np.stack([c.values.ravel() for c in clustering.centroids])
     d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     assert np.array_equal(np.argmin(d2, axis=1), np.array(clustering.assignments))
 
@@ -129,11 +131,17 @@ def test_kmeans_deterministic_and_validates_k(small_wset):
         cluster_surfaces(surfaces, k=len(surfaces) + 1, rng_seed=1)
 
 
+def test_kmeans_raises_when_it_reaches_the_iteration_cap(small_wset, monkeypatch):
+    monkeypatch.setattr(planner, "KMEANS_MAX_ITER", 1)
+    with pytest.raises(RuntimeError, match="k=4 .* in 1 iterations"):
+        cluster_surfaces(_surfaces(small_wset), k=4, rng_seed=3)
+
+
 def test_kmeans_k1_centroid_is_mean(small_wset):
     surfaces = _surfaces(small_wset, n=6)
     clustering = cluster_surfaces(surfaces, k=1, rng_seed=0)
-    mean = np.stack([s.vector() for s in surfaces]).mean(axis=0)
-    assert np.allclose(clustering.centroids[0].vector(), mean)
+    mean = np.stack([s.values for s in surfaces]).mean(axis=0)
+    assert np.allclose(clustering.centroids[0].values, mean)
     assert clustering.assignments == (0,) * 6
 
 
@@ -203,9 +211,12 @@ def test_predict_surface_rejects_class_count_mismatch(small_wset):
         predict_surface(clf, clustering, _blob_training()[0][0])
 
 
+def _grid(values, base=BASE):
+    return ScalingSurface(region=REGION, base_spec=base, values=np.reshape(values, SHAPE))
+
+
 def _flat(value):
-    return ScalingSurface(region=REGION, base_spec=BASE,
-                          speedups={s: value for s in REGION.specs()})
+    return _grid(np.full(SHAPE, value))
 
 
 def test_surface_error_mean_relative_deviation():
@@ -217,13 +228,12 @@ def test_surface_error_mean_relative_deviation():
     bumped = [i for i in range(len(specs)) if i != base_idx][: len(specs) // 2]
     values = np.ones(len(specs))
     values[bumped] = 1.25
-    mixed = ScalingSurface.from_vector(REGION, BASE, values)
+    mixed = _grid(values)
     assert surface_error(mixed, actual) == pytest.approx(0.125)
 
 
 def test_surface_error_rejects_mismatched_grids():
-    other = ScalingSurface(region=REGION, base_spec=ResourceSpec(2, 4),
-                           speedups={s: 1.0 for s in REGION.specs()})
+    other = _grid(np.ones(SHAPE), base=ResourceSpec(2, 4))
     with pytest.raises(ValueError):
         surface_error(other, _flat(1.0))
 
@@ -243,11 +253,7 @@ def _monotone_surface(rng):
             prev_c = grid[i - 1, j] if i else 1.0
             prev_m = grid[i, j - 1] if j else 1.0
             grid[i, j] = max(prev_c, prev_m) + rng.uniform(0.0, 0.4)
-    speedups = {ResourceSpec(c, m): float(grid[i, j])
-                for i, c in enumerate(cores) for j, m in enumerate(mems)}
-    base_value = speedups[BASE]
-    speedups = {s: v / base_value for s, v in speedups.items()}
-    return ScalingSurface(region=REGION, base_spec=BASE, speedups=speedups)
+    return _grid(grid / grid[cores.index(BASE.cores), mems.index(BASE.memory_gb)])
 
 
 def _brute_force_plan(request, surface):
@@ -256,7 +262,7 @@ def _brute_force_plan(request, surface):
         threshold = request.target_speedup * current
     else:
         threshold = (1.0 - request.performance_tolerance) * current
-    feasible = [s for s in REGION.specs() if surface.speedups[s] >= threshold]
+    feasible = [s for s in REGION.specs() if surface.speedup_at(s) >= threshold]
     if not feasible:
         return None
     return min(feasible, key=lambda s: (spec_cost(s, request.cost_weights),

@@ -16,7 +16,6 @@ from .core import (
     DEFAULT_MEMORY_LEVELS,
     InfeasibleError,
     InterferenceProfile,
-    KmpsTrack,
     NodeConstants,
     OutOfRegionError,
     PressureSensitivity,
@@ -27,6 +26,7 @@ from .core import (
     round_half_up,
 )
 from .estimator import (
+    ReferenceTracks,
     ResourceFootprint,
     SimulatedProbe,
     WorkloadProbe,

@@ -26,12 +26,7 @@ from .core import (
     read_json,
     write_json,
 )
-from .estimator import (
-    build_profile,
-    stress_reference_tracks,
-    tracks_from_json,
-    tracks_to_json,
-)
+from .estimator import ReferenceTracks, build_profile, stress_reference_tracks
 from .experiment import (
     ExperimentConfig,
     build_workload_set,
@@ -128,8 +123,8 @@ def cmd_train(args) -> int:
 def cmd_calibrate(args) -> int:
     out = _out_dir(args)
     tracks = stress_reference_tracks(NodeConstants())
-    write_json(out / "reference_tracks.json", tracks_to_json(tracks))
-    print(f"wrote {out / 'reference_tracks.json'}: {len(tracks)} stress levels")
+    write_json(out / "reference_tracks.json", tracks.to_json())
+    print(f"wrote {out / 'reference_tracks.json'}: {len(tracks.levels)} stress levels")
     return 0
 
 
@@ -183,7 +178,10 @@ def cmd_estimate(args) -> int:
     out = _out_dir(args)
     wset = WorkloadSet.load(args.workloads)
     if args.tracks:
-        tracks = tracks_from_json(read_json(args.tracks), f"{args.tracks}: tracks")
+        tracks = ReferenceTracks.from_json(read_json(args.tracks), f"{args.tracks}: tracks")
+        if tracks.ways != wset.constants.llc_ways:
+            raise ValueError(f"{args.tracks}: tracks cover {tracks.ways} ways, the "
+                             f"workload set's nodes have {wset.constants.llc_ways}")
     else:
         tracks = stress_reference_tracks(wset.constants)
     records = []
@@ -300,6 +298,8 @@ def cmd_simulate(args) -> int:
                 raise ValueError(f"{where}: node {node_id} is not in the inventory")
             spec, profile = requests[wid]
             tenants[wid] = (wid, node_id, spec, profile)
+    if not tenants:
+        raise ValueError(f"{args.placements}: placements file lists no placements")
     report = simulate_colocated(list(tenants.values()), cluster)
     write_json(out / "simulation.json",
                {"schema": "simulation-report/v1", **report.to_json()})

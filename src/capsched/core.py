@@ -18,6 +18,7 @@ import enum
 import functools
 import json
 import math
+import sys
 import types
 import typing
 from dataclasses import dataclass, fields
@@ -30,7 +31,6 @@ __all__ = [
     "InfeasibleError",
     "InterferenceProfile",
     "JsonRecord",
-    "KmpsTrack",
     "NodeConstants",
     "OutOfRegionError",
     "PressureSensitivity",
@@ -102,6 +102,11 @@ def _is(tp, value) -> bool:
     return tp in _PLAIN and not isinstance(value, bool) and isinstance(value, _PLAIN[tp][0])
 
 
+def _shown(value) -> str:
+    shown = json.dumps(value)
+    return shown if len(shown) <= 60 else shown[:57] + "..."
+
+
 def _mismatch(tp, value, where: str) -> ValueError:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp in _PLAIN:
@@ -114,9 +119,7 @@ def _mismatch(tp, value, where: str) -> ValueError:
         kind = " or ".join(_PLAIN[arm][1] for arm in args)
     else:
         kind = "a JSON object"
-    shown = json.dumps(value)
-    shown = shown if len(shown) <= 60 else shown[:57] + "..."
-    return ValueError(f"{where} needs {kind}, got {shown}")
+    return ValueError(f"{where} needs {kind}, got {_shown(value)}")
 
 
 def decode(tp, value, where: str):
@@ -126,9 +129,10 @@ def decode(tp, value, where: str):
     tuple type (from a list), a Literal, a union of plain types such as
     float | None, a class with from_json(obj, where) such as a
     JsonRecord, or a dict of field names to types, which reads those
-    fields of an object into a dict. An int loads as a float. A wrong
-    JSON type raises ValueError naming where, the type expected and the
-    value found; a missing field raises '<where> has no <field>'.
+    fields of an object into a dict. An int loads as a float, and a
+    number must be finite. A wrong JSON type raises ValueError naming
+    where, the type expected and the value found; a missing field
+    raises '<where> has no <field>'.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if isinstance(tp, dict):
@@ -149,7 +153,12 @@ def decode(tp, value, where: str):
     if origin is types.UnionType:
         tp = next((arm for arm in args if _is(arm, value)), tp)
     if _is(tp, value):
-        return float(value) if tp is float else value
+        if tp is not float:
+            return value
+        # NaN fails every comparison; an int too large for a float fails this one.
+        if not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{where} needs a finite number, got {_shown(value)}")
+        return float(value)
     if origin is typing.Literal and value in args:
         return value
     if tp in _PLAIN or origin:
@@ -447,49 +456,6 @@ class InterferenceProfile(JsonRecord):
     def zero(cls) -> "InterferenceProfile":
         z = PressureSensitivity(0, 0)
         return cls(llc=z, membw=z, disk=z, network=z)
-
-
-@dataclass(frozen=True)
-class KmpsTrack:
-    """Cache misses per kilo-instruction as cache ways shrink.
-
-    values[i] is the kmps measured with (i + 1) ways allocated, so the
-    last entry is the full-cache measurement. Misses cannot decrease
-    when ways are taken away.
-    """
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) < 1:
-            raise ValueError("track needs at least one way")
-        for v in self.values:
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"kmps must be finite non-negative, got {v}")
-        for lo_ways, hi_ways in zip(self.values, self.values[1:]):
-            if hi_ways > lo_ways + 1e-9:
-                raise ValueError("kmps must be non-increasing as ways grow")
-
-    @property
-    def ways(self) -> int:
-        return len(self.values)
-
-    def at_ways(self, ways: int) -> float:
-        if not 1 <= ways <= len(self.values):
-            raise ValueError(f"ways must be in 1..{len(self.values)}, got {ways}")
-        return self.values[ways - 1]
-
-    def distance(self, other: "KmpsTrack") -> float:
-        if other.ways != self.ways:
-            raise ValueError("tracks cover different way counts")
-        return float(sum((a - b) ** 2 for a, b in zip(self.values, other.values)))
-
-    def to_json(self) -> list:
-        return list(self.values)
-
-    @classmethod
-    def from_json(cls, obj, where: str = "kmps") -> "KmpsTrack":
-        return cls(values=decode(tuple[float, ...], obj, where))
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
 from .core import (
     InterferenceProfile,
     JsonRecord,
-    KmpsTrack,
     NodeConstants,
     PressureSensitivity,
     SharedResource,
@@ -43,12 +42,12 @@ from .core import (
 
 __all__ = [
     "RATE_FIELDS",
+    "ReferenceTracks",
     "ResourceFootprint",
     "SimulatedProbe",
     "WorkloadProbe",
     "build_profile",
     "llc_sensitivity_ways",
-    "match_pressure",
     "pressure_level",
     "quantify_llc",
     "quantify_rate",
@@ -202,7 +201,83 @@ class SimulatedProbe(WorkloadProbe):
         return self._noisy(solo * max(0.0, 1.0 - STRESS_DROP_PER_LEVEL * excess))
 
 
-def stress_reference_tracks(constants: NodeConstants) -> tuple[tuple[int, KmpsTrack], ...]:
+@dataclass(frozen=True, eq=False)
+class ReferenceTracks:
+    """Kmps tracks of the calibrated stress programs, one row per level.
+
+    kmps[i, w - 1] is the kmps of the levels[i] program with w cache
+    ways allocated, a read-only float array, so the last column is the
+    full-cache reading. Rows are sorted by level at construction, rows
+    of one level keeping their order, and no row rises as ways grow.
+    """
+
+    levels: tuple[int, ...]
+    kmps: np.ndarray
+
+    def __post_init__(self):
+        order = sorted(range(len(self.levels)), key=self.levels.__getitem__)
+        levels = tuple(self.levels[i] for i in order)
+        kmps = np.array(self.kmps, dtype=float)
+        if not levels:
+            raise ValueError("reference tracks list no levels")
+        if kmps.ndim != 2 or len(kmps) != len(levels) or kmps.shape[1] < 1:
+            raise ValueError(f"reference tracks need kmps of shape ({len(levels)}, ways), "
+                             f"ways >= 1, got {kmps.shape}")
+        kmps = kmps[order]
+        kmps.setflags(write=False)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "kmps", kmps)
+        if levels[0] < 0:
+            raise ValueError(f"reference levels must be non-negative, got {levels[0]}")
+        bad = ~(np.isfinite(kmps) & (kmps >= 0))
+        bad[:, 1:] |= kmps[:, 1:] > kmps[:, :-1] + 1e-9
+        if bad.any():
+            raise ValueError(f"kmps of level {levels[np.argwhere(bad)[0][0]]} must be finite, "
+                             "non-negative and non-increasing as ways grow")
+
+    @property
+    def ways(self) -> int:
+        return self.kmps.shape[1]
+
+    def nearest_level(self, kmps: Sequence[float]) -> int:
+        """Level of the row nearest a kmps track in squared distance.
+
+        kmps[w - 1] is the reading with w ways. Distances sum left to
+        right, and ties go to the first (lowest) level, so results are
+        deterministic.
+        """
+        track = np.array(kmps, dtype=float)
+        if track.shape != (self.ways,):
+            raise ValueError(f"track has shape {track.shape}, the reference "
+                             f"tracks cover {self.ways} ways")
+        if not (np.isfinite(track) & (track >= 0)).all():
+            raise ValueError(f"kmps must be finite non-negative, got {list(kmps)}")
+        distance = np.cumsum((self.kmps - track) ** 2, axis=1)[:, -1]
+        return self.levels[int(np.argmin(distance))]
+
+    def to_json(self) -> dict:
+        return {"schema": "reference-tracks/v1",
+                "tracks": [{"level": level, "kmps": row}
+                           for level, row in zip(self.levels, self.kmps.tolist())]}
+
+    @classmethod
+    def from_json(cls, obj, where: str = "tracks") -> "ReferenceTracks":
+        """The table whose JSON form is obj; any fault names where."""
+        rows = decode({"schema": Literal["reference-tracks/v1"], "tracks": list},
+                      obj, where)["tracks"]
+        rows = [decode({"level": int, "kmps": tuple[float, ...]}, row,
+                       f"{where}.tracks[{i}]") for i, row in enumerate(rows)]
+        ways = sorted({len(row["kmps"]) for row in rows})
+        if len(ways) > 1:
+            raise ValueError(f"{where}: tracks cover different way counts {ways}")
+        try:
+            return cls(levels=tuple(row["level"] for row in rows),
+                       kmps=[row["kmps"] for row in rows])
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+
+
+def stress_reference_tracks(constants: NodeConstants) -> ReferenceTracks:
     """Kmps tracks of the calibrated stress programs, one per level.
 
     The level-L program misses at L * kmps_per_level with the full
@@ -210,13 +285,11 @@ def stress_reference_tracks(constants: NodeConstants) -> tuple[tuple[int, KmpsTr
     is the idle track. Shape is shared across levels so the matched
     level grows with the measured miss volume.
     """
-    w = constants.llc_ways
-    shape = [1.0 + 0.08 * max(0.0, 8.0 - ways) for ways in range(1, w + 1)]
-    tracks = []
-    for level in range(constants.levels + 1):
-        base = level * constants.kmps_per_level
-        tracks.append((level, KmpsTrack(tuple(base * s for s in shape))))
-    return tuple(tracks)
+    shape = [1.0 + 0.08 * max(0.0, 8.0 - ways) for ways in range(1, constants.llc_ways + 1)]
+    levels = range(constants.levels + 1)
+    return ReferenceTracks(levels=tuple(levels),
+                           kmps=np.outer(np.multiply(levels, constants.kmps_per_level),
+                                         shape))
 
 
 def pressure_level(usage: float, physical: float, n_levels: int) -> int:
@@ -233,34 +306,17 @@ def pressure_level(usage: float, physical: float, n_levels: int) -> int:
     return min(n_levels, round_half_up(n_levels * usage / physical))
 
 
-def match_pressure(track: KmpsTrack,
-                   reference_tracks) -> int:
-    """Level of the reference track nearest in squared kmps distance.
-
-    Ties go to the lower level so results are deterministic.
-    """
-    refs = list(reference_tracks)
-    if not refs:
-        raise ValueError("reference track set is empty")
-    best_level, best_dist = None, None
-    for level, ref in sorted(refs, key=lambda pair: pair[0]):
-        d = track.distance(ref)
-        if best_dist is None or d < best_dist:
-            best_level, best_dist = level, d
-    return int(best_level)
-
-
-def llc_sensitivity_ways(track: KmpsTrack, rise: float = DEGRADATION_THRESHOLD) -> int:
+def llc_sensitivity_ways(kmps: Sequence[float], rise: float = DEGRADATION_THRESHOLD) -> int:
     """Way count at the first >=10% kmps rise, scanning from full cache down.
 
-    Because the track is non-increasing in ways, the first crossing
-    found while shrinking is the largest way count w with
-    kmps_w >= (1 + rise) * kmps_W. A flat (or all-zero) track never
-    crosses and scores 0: the workload does not care about the cache.
+    kmps[w - 1] is the reading with w ways. The result is the largest w
+    with kmps_w > kmps_full and kmps_w >= (1 + rise) * kmps_full. A flat
+    (or all-zero) track never crosses and scores 0: the workload does
+    not care about the cache.
     """
-    full = track.at_ways(track.ways)
-    for ways in range(track.ways - 1, 0, -1):
-        k = track.at_ways(ways)
+    full = kmps[-1]
+    for ways in range(len(kmps) - 1, 0, -1):
+        k = kmps[ways - 1]
         if k > full and k >= (1.0 + rise) * full:
             return ways
     return 0
@@ -272,19 +328,12 @@ def ways_to_level(ways: int, llc_ways: int, n_levels: int) -> int:
 
 
 def quantify_llc(probe: WorkloadProbe,
-                 reference_tracks) -> PressureSensitivity:
+                 reference_tracks: ReferenceTracks) -> PressureSensitivity:
     """Pressure from track matching, sensitivity from way shrinking."""
-    refs = list(reference_tracks)
-    if not refs:
-        raise ValueError("reference track set is empty")
     w = probe.constants.llc_ways
-    observed = []
-    for ways in range(w, 0, -1):
-        observed.append(probe.set_llc_ways(ways))
-    track = KmpsTrack(tuple(reversed(observed)))
-    pressure = match_pressure(track, refs)
-    sens_ways = llc_sensitivity_ways(track)
-    sensitivity = ways_to_level(sens_ways, w, probe.constants.levels)
+    kmps = [probe.set_llc_ways(ways) for ways in range(w, 0, -1)][::-1]
+    pressure = reference_tracks.nearest_level(kmps)
+    sensitivity = ways_to_level(llc_sensitivity_ways(kmps), w, probe.constants.levels)
     return PressureSensitivity(pressure=pressure, sensitivity=sensitivity)
 
 
@@ -331,29 +380,19 @@ def quantify_rate(probe: WorkloadProbe, resource: SharedResource) -> PressureSen
     return PressureSensitivity(pressure=pressure, sensitivity=sens)
 
 
-def build_profile(probe: WorkloadProbe, reference_tracks=None) -> InterferenceProfile:
+def build_profile(probe: WorkloadProbe,
+                  reference_tracks: ReferenceTracks | None = None) -> InterferenceProfile:
     """Quantify all four resources, one at a time, and assemble the profile.
 
     reference_tracks defaults to the calibrated stress tracks of the
-    probe's node constants.
+    probe's node constants; a table of another way count is refused
+    before anything is probed.
     """
     if reference_tracks is None:
         reference_tracks = stress_reference_tracks(probe.constants)
+    elif reference_tracks.ways != probe.constants.llc_ways:
+        raise ValueError(f"reference tracks cover {reference_tracks.ways} ways, "
+                         f"the probe's node has {probe.constants.llc_ways}")
     return InterferenceProfile(
         llc=quantify_llc(probe, reference_tracks),
         **{r.value: quantify_rate(probe, r) for r in RATE_FIELDS})
-
-
-def tracks_to_json(tracks) -> dict:
-    """Serializable form of calibrated (level, track) reference pairs."""
-    return {"schema": "reference-tracks/v1",
-            "tracks": [{"level": level, "kmps": track.to_json()}
-                       for level, track in tracks]}
-
-
-def tracks_from_json(obj, where: str = "tracks") -> tuple[tuple[int, KmpsTrack], ...]:
-    rows = decode({"schema": Literal["reference-tracks/v1"], "tracks": list},
-                  obj, where)["tracks"]
-    return tuple(tuple(decode({"level": int, "kmps": KmpsTrack}, row,
-                              f"{where}.tracks[{i}]").values())
-                 for i, row in enumerate(rows))

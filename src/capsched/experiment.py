@@ -110,8 +110,12 @@ class ExperimentConfig(JsonRecord):
             raise ValueError("k must be in [1, train_count]")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
-        if self.trials < 1 or self.tenants_per_trial < 1:
-            raise ValueError("trials and tenants_per_trial must be >= 1")
+        for name, low in (("trials", 1), ("tenants_per_trial", 1), ("mlp_epochs", 1),
+                          ("archetype_count", 2), ("noise_sigma", 0), ("surface_noise", 0),
+                          ("footprint_noise", 0), ("probe_noise", 0),
+                          ("cost_weight_cores", 0), ("cost_weight_memory", 0)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("scenario1_origin", "scenario2_origin", "origin_cores",
                      "origin_memory_gb"):
             if len(getattr(self, name)) != 2:

@@ -510,11 +510,12 @@ class PlanningRequest:
     def __post_init__(self):
         if self.policy not in ("scale-up", "scale-down"):
             raise ValueError(f"policy must be scale-up or scale-down, got {self.policy!r}")
-        if self.policy == "scale-up" and self.target_speedup < 1.0:
-            raise ValueError("scale-up target_speedup must be >= 1")
+        if self.policy == "scale-up" and not self.target_speedup >= 1.0:
+            raise ValueError("scale-up target_speedup must be >= 1, "
+                             f"got {self.target_speedup}")
         if not 0.0 <= self.performance_tolerance < 1.0:
             raise ValueError("performance_tolerance must be in [0, 1)")
-        if self.cost_weights[0] < 0 or self.cost_weights[1] < 0:
+        if not (self.cost_weights[0] >= 0 and self.cost_weights[1] >= 0):
             raise ValueError("cost weights must be non-negative")
 
 

@@ -41,7 +41,6 @@ from .core import (
     ConfigRegion,
     InterferenceProfile,
     JsonRecord,
-    KmpsTrack,
     NodeConstants,
     OutOfRegionError,
     PressureSensitivity,
@@ -57,8 +56,8 @@ from .estimator import (
     DEGRADATION_THRESHOLD,
     RATE_FIELDS,
     ResourceFootprint,
+    ReferenceTracks,
     SimulatedProbe,
-    match_pressure,
     pressure_level,
     rate_capacity,
     stress_reference_tracks,
@@ -302,7 +301,7 @@ def observe_indexes(workload: Workload, spec: ResourceSpec, noise_sigma: float,
 
 def true_profile_at(workload: Workload, spec: ResourceSpec,
                     constants: NodeConstants,
-                    reference_tracks=None) -> InterferenceProfile:
+                    reference_tracks: ReferenceTracks | None = None) -> InterferenceProfile:
     """Ground-truth interference profile at a deployment spec.
 
     Pressures follow the usage rates scaled by activity at spec; LLC
@@ -319,8 +318,7 @@ def true_profile_at(workload: Workload, spec: ResourceSpec,
         reference_tracks = stress_reference_tracks(constants)
 
     w = constants.llc_ways
-    track = KmpsTrack(tuple(a * f.kmps_at(ways) for ways in range(1, w + 1)))
-    p_llc = match_pressure(track, reference_tracks)
+    p_llc = reference_tracks.nearest_level([a * f.kmps_at(ways) for ways in range(1, w + 1)])
     if a * f.kmps_base > 0 and f.demand_slope > 0:
         crossing = math.floor(f.demand_ways - DEGRADATION_THRESHOLD / f.demand_slope)
         s_ways = min(w - 1, max(0, crossing))
@@ -473,7 +471,7 @@ def make_workload(archetype: WorkloadArchetype, workload_id: int, noise_seed: in
                   origin: ResourceSpec, region: ConfigRegion,
                   constants: NodeConstants, base_spec: ResourceSpec,
                   surface_noise: float = 0.0, footprint_noise: float = 0.0,
-                  reference_tracks=None) -> Workload:
+                  reference_tracks: ReferenceTracks | None = None) -> Workload:
     """One workload instance of an archetype, deployed at origin.
 
     Parameter jitter is derived from noise_seed, so the same seed

@@ -2,12 +2,14 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from capsched import cli
 from capsched.cli import main
 from capsched.core import canonical_json
 from capsched.experiment import ExperimentConfig, build_workload_set
@@ -76,6 +78,8 @@ def test_calibrate_writes_reference_tracks(workdir):
     tracks = json.loads((out / "reference_tracks.json").read_text())
     assert tracks["schema"] == "reference-tracks/v1"
     assert len(tracks["tracks"]) == 21
+    digest = hashlib.sha256((out / "reference_tracks.json").read_bytes()).hexdigest()
+    assert digest == "11abd3d72e85791364ba10a07ec3481e72752fcb77dc64b86ef45dfd545c3ed5"
 
 
 def test_estimate_writes_profiles(workdir):
@@ -122,6 +126,17 @@ def test_plan_reports_infeasible_with_exit_2(workdir):
     assert plan["infeasible"] is True
     assert plan["recommended"] is None
     assert plan["best_speedup"] < 50
+
+
+def test_plan_rejects_nan_target_as_bad_input(workdir):
+    args, out = _cfg_args(workdir, "plan_nan")
+    rc, _, stderr = _run(
+        "plan", *args,
+        "--bundle", str(workdir / "train" / "bundle.json"),
+        "--indexes", str(workdir / "indexes.json"),
+        "--policy", "scale-up", "--current", "1c2g", "--target", "nan")
+    assert (rc, stderr) == (1, "error: scale-up target_speedup must be >= 1, got nan\n")
+    assert not (out / "plan.json").exists()
 
 
 def test_plan_rejects_non_object_indexes_with_exit_1(workdir, tmp_path):
@@ -307,6 +322,10 @@ def _one_error_line(stderr):
     {"gamma": -1}, {"cluster_nodes": 0}, [1],
     {"origin_cores": [5, 3]}, {"origin_cores": [1, 40]}, {"origin_memory_gb": [1, 16]},
     {"scenario1_origin": [40, 2]}, {"scenario2_origin": [12, 64]},
+    {"gamma": float("nan")}, {"scale_factors": [2.0, float("inf")]},
+    {"theta": float("-inf")}, {"noise_sigma": -0.1}, {"surface_noise": -0.1},
+    {"footprint_noise": -0.1}, {"probe_noise": -0.1}, {"mlp_epochs": -1},
+    {"cost_weight_cores": -1.0}, {"cost_weight_memory": -1.0}, {"archetype_count": 1},
 ])
 def test_bad_config_exits_1_before_any_work(override, tmp_path):
     # gen never reads the cluster settings, so a bad gamma or node count
@@ -476,6 +495,8 @@ def _input(kind, workdir):
     if kind == "requests":
         profiles = json.loads((workdir / "estimate" / "profiles.json").read_text())
         return {"requests": profiles["profiles"]}
+    if kind == "tracks":
+        return json.loads((workdir / "calibrate" / "reference_tracks.json").read_text())
     if kind == "nodes":
         return {"nodes": [{"node_id": i, "capacity": {"cores": 96, "memory_gb": 256}}
                           for i in range(TINY.cluster_nodes)]}
@@ -494,6 +515,8 @@ def _read_with(kind, text, workdir, out):
                    "--indexes", str(workdir / "indexes.json"), "--current", "1c2g"],
         "workloads": ["estimate", "--config", config, "--workloads", str(path)],
         "requests": ["schedule", "--config", config, "--requests", str(path)],
+        "tracks": ["estimate", "--config", config, "--tracks", str(path),
+                   "--workloads", str(workdir / "gen" / "workloads.json")],
     }.get(kind, ["schedule", "--config", config, "--nodes", str(path),
                  "--requests", str(workdir / "estimate" / "profiles.json")])
     rc, _, stderr = _run(*argv, "--out", str(out / "out"))
@@ -573,6 +596,40 @@ def test_simulate_names_the_line_placing_a_workload_twice_or_off_the_inventory(
     assert (rc, stderr) == (1, f"error: {placements}: line 2: {message}\n")
 
 
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_placements_file_without_placements_exits_1_naming_it(text, workdir, tmp_path):
+    placements = tmp_path / "placements.jsonl"
+    placements.write_text(text)
+    rc, _, stderr = _run("simulate", "--config", str(workdir / "config.json"),
+                         "--out", str(tmp_path / "out"), "--placements", str(placements),
+                         "--requests", str(workdir / "estimate" / "profiles.json"))
+    assert (rc, stderr) == (1, f"error: {placements}: placements file lists no placements\n")
+    assert not (tmp_path / "out" / "simulation.json").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(tracks=[]), "tracks: reference tracks list no levels"),
+    (lambda d: [row["kmps"].pop() for row in d["tracks"]],
+     "tracks cover 10 ways, the workload set's nodes have 11"),
+    (lambda d: d["tracks"][5]["kmps"].pop(),
+     "tracks: tracks cover different way counts [10, 11]"),
+])
+def test_estimate_refuses_a_tracks_file_before_probing(edit, message, workdir, tmp_path,
+                                                       monkeypatch):
+    doc = json.loads((workdir / "calibrate" / "reference_tracks.json").read_text())
+    edit(doc)
+    tracks = tmp_path / "tracks.json"
+    tracks.write_text(json.dumps(doc))
+    probed = []
+    monkeypatch.setattr(cli, "probe_for", lambda *a, **k: probed.append(a))
+    rc, _, stderr = _run("estimate", "--config", str(workdir / "config.json"),
+                         "--out", str(tmp_path / "out"),
+                         "--workloads", str(workdir / "gen" / "workloads.json"),
+                         "--tracks", str(tracks))
+    assert (rc, stderr) == (1, f"error: {tracks}: {message}\n")
+    assert probed == []
+
+
 @pytest.mark.parametrize("command", ["schedule", "simulate"])
 def test_requests_file_without_requests_exits_1_naming_it(command, workdir, tmp_path):
     requests = tmp_path / "requests.json"
@@ -641,6 +698,7 @@ _BREAKS = {
                      and isinstance(value, str)),
     "nodes": dict(deletions=True, root=True, valid=lambda path, value: False),
     "counted": dict(deletions=False, root=True, valid=lambda path, value: False),
+    "tracks": dict(deletions=True, root=True, valid=lambda path, value: False),
 }
 
 

@@ -38,6 +38,10 @@ def test_decode_accepts_json_forms(tp, value, expected):
     (ResourceSpec, {"cores": 2}, "x has no 'memory_gb'"),
     ({"a": {"b": int}}, {"a": {"b": "1"}}, 'x.a.b needs an integer, got "1"'),
     (int, "n" * 100, "x needs an integer, got \"" + "n" * 56 + "..."),
+    (float, float("nan"), "x needs a finite number, got NaN"),
+    (float | None, float("inf"), "x needs a finite number, got Infinity"),
+    (tuple[float, ...], [1.0, float("-inf")], "x[1] needs a finite number, got -Infinity"),
+    (float, 10 ** 400, "x needs a finite number, got " + "1" + "0" * 56 + "..."),
 ])
 def test_decode_names_where_the_type_and_the_value(tp, value, message):
     with pytest.raises(ValueError) as info:

@@ -1,20 +1,19 @@
 """Pressure/sensitivity estimation against the simulated probe."""
 
+import numpy as np
 import pytest
 
-from capsched.core import KmpsTrack, NodeConstants, SharedResource
+from capsched.core import NodeConstants, SharedResource
 from capsched.estimator import (
+    ReferenceTracks,
     ResourceFootprint,
     SimulatedProbe,
     build_profile,
     llc_sensitivity_ways,
-    match_pressure,
     pressure_level,
     quantify_llc,
     quantify_rate,
     stress_reference_tracks,
-    tracks_from_json,
-    tracks_to_json,
     ways_to_level,
 )
 
@@ -54,29 +53,31 @@ def test_ways_to_level_scales_onto_shared_axis():
 
 def test_reference_tracks_cover_every_level():
     tracks = stress_reference_tracks(CONSTANTS)
-    assert len(tracks) == CONSTANTS.levels + 1
-    assert [level for level, _ in tracks] == list(range(CONSTANTS.levels + 1))
-    assert all(t.ways == CONSTANTS.llc_ways for _, t in tracks)
-    assert all(v == 0.0 for v in tracks[0][1].values)
-    assert tracks == stress_reference_tracks(CONSTANTS)
+    assert tracks.levels == tuple(range(CONSTANTS.levels + 1))
+    assert tracks.kmps.shape == (CONSTANTS.levels + 1, CONSTANTS.llc_ways)
+    assert tracks.ways == CONSTANTS.llc_ways
+    assert not tracks.kmps[0].any()
+    assert np.array_equal(tracks.kmps, stress_reference_tracks(CONSTANTS).kmps)
 
 
-def test_match_pressure_exact_and_tie_to_lower():
+def test_nearest_level_exact_and_tie_to_lower():
     tracks = stress_reference_tracks(CONSTANTS)
-    for level, ref in tracks:
-        assert match_pressure(ref, tracks) == level
-    dup = ((1, tracks[3][1]), (2, tracks[3][1]))
-    assert match_pressure(tracks[3][1], dup) == 1
+    for level, row in zip(tracks.levels, tracks.kmps):
+        assert tracks.nearest_level(row) == level
+    dup = ReferenceTracks(levels=(2, 1), kmps=[tracks.kmps[3], tracks.kmps[3]])
+    assert dup.nearest_level(tracks.kmps[3]) == 1
+    midway = ReferenceTracks(levels=(7, 3), kmps=[[4.0, 2.0], [2.0, 0.0]])
+    assert midway.nearest_level([3.0, 1.0]) == 3
     with pytest.raises(ValueError):
-        match_pressure(tracks[0][1], ())
+        ReferenceTracks(levels=(), kmps=[])
 
 
 def test_llc_sensitivity_first_crossing_from_full_cache():
     # 10% rise threshold; the jump sits between ways 4 and 5
     values = tuple([1.2] * 4 + [1.0] * 7)
-    assert llc_sensitivity_ways(KmpsTrack(values)) == 4
-    assert llc_sensitivity_ways(KmpsTrack((2.0,) * 11)) == 0
-    assert llc_sensitivity_ways(KmpsTrack((0.0,) * 11)) == 0
+    assert llc_sensitivity_ways(values) == 4
+    assert llc_sensitivity_ways((2.0,) * 11) == 0
+    assert llc_sensitivity_ways((0.0,) * 11) == 0
 
 
 def test_quantify_llc_recovers_matching_reference():
@@ -175,7 +176,8 @@ def test_noisy_probe_is_seeded():
 
 def test_reference_tracks_json_roundtrip():
     tracks = stress_reference_tracks(CONSTANTS)
-    obj = tracks_to_json(tracks)
-    assert tracks_from_json(obj) == tracks
+    back = ReferenceTracks.from_json(tracks.to_json())
+    assert back.levels == tracks.levels
+    assert np.array_equal(back.kmps, tracks.kmps)
     with pytest.raises(ValueError):
-        tracks_from_json({"schema": "other/v1", "tracks": []})
+        ReferenceTracks.from_json({"schema": "other/v1", "tracks": []})

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
 import math
 import sys
@@ -72,9 +73,19 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
+
+
 def canonical_json(obj) -> str:
     """Serialize to the one JSON form used for every artifact file."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    # The indented encoder yields one small string per token; joining them
+    # a batch at a time holds one batch of those, not all of them.
+    chunks = _CANONICAL.iterencode(obj)
+    parts = []
+    while batch := list(itertools.islice(chunks, 4096)):
+        parts.append("".join(batch))
+    parts.append("\n")
+    return "".join(parts)
 
 
 def write_json(path, obj) -> None:
@@ -432,9 +443,13 @@ class PressureSensitivity(JsonRecord):
     pressure: int
     sensitivity: int
 
+    # Far above any contention scale; the cap keeps the scheduler's int64
+    # sums and products of levels exact.
+    MAX = 2 ** 31 - 1
+
     def __post_init__(self):
-        if self.pressure < 0 or self.sensitivity < 0:
-            raise ValueError(f"levels must be non-negative, got {self}")
+        if not (0 <= self.pressure <= self.MAX and 0 <= self.sensitivity <= self.MAX):
+            raise ValueError(f"levels must be in [0, {self.MAX}], got {self}")
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,7 @@ class ExperimentConfig(JsonRecord):
                 raise ValueError(f"{name} must be a pair")
         # Build the derived objects now, so their own checks run here.
         region, _, _ = self.region, self.base_spec, self.cluster_spec
+        ScheduleConfig(scaler=self.scaler)
         for name, levels in (("origin_cores", region.core_levels),
                              ("origin_memory_gb", region.memory_levels_gb)):
             lo, hi = getattr(self, name)

@@ -11,8 +11,12 @@ baseline policy is included for comparison.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import (
     CapacityExhaustedError,
@@ -35,10 +39,18 @@ POLICY_LRP = "lrp"
 REQUEST_FIELDS = {"workload_id": int | str, "spec": ResourceSpec,
                   "profile": InterferenceProfile}
 
+# Column of each shared resource in the per-resource aggregates.
+_COLUMN = {resource: i for i, resource in enumerate(SharedResource)}
+
 
 @dataclass
 class NodeState:
-    """Mutable view of one node: capacity, committed resources, tenants."""
+    """Mutable view of one node: capacity, committed resources, tenants.
+
+    Tenants join through add(), which keeps the per-resource summed
+    pressure and max sensitivity of `deployed` current, so scoring a
+    node never rescans its tenants.
+    """
 
     node_id: int
     capacity: ResourceSpec = ResourceSpec(DEFAULT_NODE_CORES, DEFAULT_NODE_MEMORY_GB)
@@ -46,6 +58,8 @@ class NodeState:
     used_memory_gb: int = 0
     deployed: list[tuple[str, ResourceSpec, InterferenceProfile]] = field(
         default_factory=list)
+    _sum_p: list[int] = field(init=False, compare=False, repr=False)
+    _max_s: list[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.node_id < 0:
@@ -55,6 +69,17 @@ class NodeState:
         if (self.used_cores > self.capacity.cores
                 or self.used_memory_gb > self.capacity.memory_gb):
             raise ValueError("used resources exceed capacity")
+        # An empty node has nothing that could be hurt: max sensitivity 0.
+        self._sum_p = [0] * len(SharedResource)
+        self._max_s = [0] * len(SharedResource)
+        for _, _, profile in self.deployed:
+            self._count(profile)
+
+    def _count(self, profile: InterferenceProfile) -> None:
+        for i, resource in enumerate(SharedResource):
+            levels = profile.get(resource)
+            self._sum_p[i] += levels.pressure
+            self._max_s[i] = max(self._max_s[i], levels.sensitivity)
 
     @property
     def free_cores(self) -> int:
@@ -68,13 +93,10 @@ class NodeState:
         return spec.cores <= self.free_cores and spec.memory_gb <= self.free_memory_gb
 
     def sum_pressure(self, resource: SharedResource) -> int:
-        return sum(profile.get(resource).pressure for _, _, profile in self.deployed)
+        return self._sum_p[_COLUMN[resource]]
 
     def max_sensitivity(self, resource: SharedResource) -> int:
-        # An empty node has nothing that could be hurt.
-        if not self.deployed:
-            return 0
-        return max(profile.get(resource).sensitivity for _, _, profile in self.deployed)
+        return self._max_s[_COLUMN[resource]]
 
     def add(self, workload_id: str, spec: ResourceSpec,
             profile: InterferenceProfile) -> None:
@@ -84,6 +106,7 @@ class NodeState:
         self.used_cores += spec.cores
         self.used_memory_gb += spec.memory_gb
         self.deployed.append((workload_id, spec, profile))
+        self._count(profile)
 
     def to_json(self) -> dict:
         return {
@@ -111,6 +134,11 @@ class NodeState:
         return cls(**got)
 
 
+def _check_scaler(scaler: float) -> None:
+    if not (math.isfinite(scaler) and scaler > 1.0):
+        raise ValueError(f"scaler must be finite and > 1, got {scaler!r}")
+
+
 @dataclass(frozen=True)
 class ScheduleConfig:
     policy: str = POLICY_URSA
@@ -119,8 +147,7 @@ class ScheduleConfig:
     def __post_init__(self) -> None:
         if self.policy not in (POLICY_URSA, POLICY_LRP):
             raise ValueError(f"unknown policy {self.policy!r}")
-        if not self.scaler > 1.0:
-            raise ValueError("scaler must be > 1")
+        _check_scaler(self.scaler)
 
 
 @dataclass(frozen=True)
@@ -134,6 +161,57 @@ class Placement:
                 "score": self.score}
 
 
+# Longest power table; a summed pressure past it is far beyond any
+# contention scale, and its power is taken on its own.
+_TABLE_SIZE = 1 << 16
+
+
+def _pow(scaler: float, n: int) -> float:
+    try:
+        return scaler ** n
+    except OverflowError:
+        return math.inf
+
+
+@functools.lru_cache(maxsize=16)
+def _powers(scaler: float, size: int) -> np.ndarray:
+    """scaler ** i for i < size, each by Python's pow: numpy's power can
+    differ from it by an ulp."""
+    return np.array([_pow(scaler, i) for i in range(size)])
+
+
+def _risk(rows: np.ndarray, incoming: InterferenceProfile, scaler: float) -> np.ndarray:
+    """Contention risk of each node row of _rows once `incoming` joins.
+
+    Per resource: max sensitivity * summed pressure * scaler ** summed
+    pressure, with the int product taken first; the resource columns
+    are added left to right. Raises ValueError naming the first node
+    whose risk is not finite.
+    """
+    _check_scaler(scaler)
+    levels = [incoming.get(resource) for resource in SharedResource]
+    sum_p = rows[:, _SUM_P] + [ps.pressure for ps in levels]
+    max_s = np.maximum(rows[:, _MAX_S], [ps.sensitivity for ps in levels])
+    # Table sizes are powers of two, so the cache sees few of them.
+    table = _powers(scaler, min(1 << max(6, int(sum_p.max()).bit_length()), _TABLE_SIZE))
+    beyond = sum_p >= len(table)
+    powers = table[np.where(beyond, 0, sum_p)]
+    if beyond.any():
+        powers[beyond] = [_pow(scaler, int(p)) for p in sum_p[beyond]]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        terms = (max_s * sum_p) * powers
+        risk = terms[:, 0].copy()
+        for column in range(1, terms.shape[1]):
+            risk += terms[:, column]
+    bad = np.flatnonzero(~np.isfinite(risk))
+    if len(bad):
+        row = bad[0]
+        summed = ", ".join(f"{r.value} {p}" for r, p in zip(SharedResource, sum_p[row]))
+        raise ValueError(f"node {rows[row, _NODE_ID]}: contention risk is not finite "
+                         f"at scaler {scaler!r} with summed pressure {summed}")
+    return risk
+
+
 def contention_risk(node: NodeState, scaler: float = DEFAULT_SCALER,
                     incoming: InterferenceProfile = InterferenceProfile.zero()) -> float:
     """Amplified pressure-sensitivity product summed over shared resources.
@@ -143,15 +221,30 @@ def contention_risk(node: NodeState, scaler: float = DEFAULT_SCALER,
     `incoming`. The default zero profile adds nothing to either term,
     so an empty node scores zero.
     """
-    if not scaler > 1.0:
-        raise ValueError("scaler must be > 1")
-    total = 0.0
-    for resource in SharedResource:
-        ps = incoming.get(resource)
-        sum_p = node.sum_pressure(resource) + ps.pressure
-        max_s = max(node.max_sensitivity(resource), ps.sensitivity)
-        total += max_s * sum_p * scaler ** sum_p
-    return total
+    return float(_risk(_rows([node]), incoming, scaler)[0])
+
+
+# Columns of the int rows that _rows gathers, one row per node.
+_USED_CORES, _USED_MEMORY, _CAP_CORES, _CAP_MEMORY, _NODE_ID = range(5)
+_SUM_P = slice(5, 5 + len(SharedResource))
+_MAX_S = slice(5 + len(SharedResource), 5 + 2 * len(SharedResource))
+
+
+def _rows(nodes: Sequence[NodeState]) -> np.ndarray:
+    """Used and total capacity, node id, then the summed pressures and
+    max sensitivities, as one int row per node."""
+    return np.array([(n.used_cores, n.used_memory_gb, n.capacity.cores,
+                      n.capacity.memory_gb, n.node_id, *n._sum_p, *n._max_s)
+                     for n in nodes], dtype=np.int64).reshape(len(nodes), -1)
+
+
+def _scores(rows: np.ndarray, spec: ResourceSpec, profile: InterferenceProfile,
+            scaler: float) -> np.ndarray:
+    """score_node of each node row; every row must fit `spec`."""
+    usage_ave = 0.5 * ((rows[:, _USED_CORES] + spec.cores) / rows[:, _CAP_CORES]
+                       + (rows[:, _USED_MEMORY] + spec.memory_gb)
+                       / rows[:, _CAP_MEMORY])
+    return _risk(rows, profile, scaler) * usage_ave
 
 
 def score_node(node: NodeState, spec: ResourceSpec, profile: InterferenceProfile,
@@ -165,18 +258,36 @@ def score_node(node: NodeState, spec: ResourceSpec, profile: InterferenceProfile
     if not node.fits(spec):
         raise CapacityExhaustedError(
             f"spec {spec.key} does not fit on node {node.node_id}")
-    risk = contention_risk(node, config.scaler, profile)
-    usage_ave = 0.5 * ((node.used_cores + spec.cores) / node.capacity.cores
-                       + (node.used_memory_gb + spec.memory_gb)
-                       / node.capacity.memory_gb)
-    return risk * usage_ave
+    return float(_scores(_rows([node]), spec, profile, config.scaler)[0])
 
 
-def _lrp_score(node: NodeState, spec: ResourceSpec) -> float:
-    # Least requested: how much of the node's currently free capacity
-    # the request would claim, averaged over cores and memory.
-    return 0.5 * (spec.cores / node.free_cores
-                  + spec.memory_gb / node.free_memory_gb)
+def _best_ursa(rows: np.ndarray, spec: ResourceSpec, profile: InterferenceProfile,
+               scaler: float) -> tuple[int, float] | None:
+    # The lowest score among the rows that fit; ties go to the lowest node id.
+    feasible = np.flatnonzero(
+        (rows[:, _CAP_CORES] - rows[:, _USED_CORES] >= spec.cores)
+        & (rows[:, _CAP_MEMORY] - rows[:, _USED_MEMORY] >= spec.memory_gb))
+    if not len(feasible):
+        return None
+    scores = _scores(rows[feasible], spec, profile, scaler)
+    best_score = scores.min()
+    tied = feasible[scores == best_score]
+    return int(tied[np.argmin(rows[tied, _NODE_ID])]), float(best_score)
+
+
+def _best_lrp(nodes: Sequence[NodeState], spec: ResourceSpec) -> tuple[int, float] | None:
+    # Least requested: how much of the node's currently free capacity the
+    # request would claim, averaged over cores and memory. One pass keeps
+    # the lowest (score, node id).
+    best, best_key = None, None
+    for i, node in enumerate(nodes):
+        free_cores, free_memory = node.free_cores, node.free_memory_gb
+        if spec.cores <= free_cores and spec.memory_gb <= free_memory:
+            key = (0.5 * (spec.cores / free_cores + spec.memory_gb / free_memory),
+                   node.node_id)
+            if best_key is None or key < best_key:
+                best, best_key = i, key
+    return None if best is None else (best, best_key[0])
 
 
 def place(requests: Iterable[tuple[str, ResourceSpec, InterferenceProfile]],
@@ -198,17 +309,18 @@ def place(requests: Iterable[tuple[str, ResourceSpec, InterferenceProfile]],
         if workload_id in seen:
             raise ValueError(f"duplicate workload id {workload_id!r}")
         seen.add(workload_id)
+    ursa = config.policy == POLICY_URSA
+    rows = _rows(nodes) if ursa else None
     placements: list[Placement] = []
     for workload_id, spec, profile in requests:
-        feasible = [n for n in nodes if n.fits(spec)]
-        if not feasible:
+        best = (_best_ursa(rows, spec, profile, config.scaler) if ursa
+                else _best_lrp(nodes, spec))
+        if best is None:
             raise CapacityExhaustedError(
                 f"no node can hold workload {workload_id!r} ({spec.key})")
-        if config.policy == POLICY_URSA:
-            scored = [(score_node(n, spec, profile, config), n) for n in feasible]
-        else:
-            scored = [(_lrp_score(n, spec), n) for n in feasible]
-        best_score, best = min(scored, key=lambda sn: (sn[0], sn[1].node_id))
-        best.add(workload_id, spec, profile)
-        placements.append(Placement(workload_id, best.node_id, best_score))
+        i, score = best
+        nodes[i].add(workload_id, spec, profile)
+        if ursa:
+            rows[i] = _rows([nodes[i]])[0]
+        placements.append(Placement(workload_id, nodes[i].node_id, score))
     return placements

@@ -110,7 +110,8 @@ def simulate_colocated(tenants: Sequence[Tenant],
 
     Each tenant sees the summed pressure of its node neighbors, itself
     excluded: a workload does not interfere with its own measurement
-    baseline. Raises on unknown nodes or overcommitted capacity.
+    baseline. That is its node's total pressure minus its own, exact
+    in ints. Raises on unknown nodes or overcommitted capacity.
     """
     if not tenants:
         raise ValueError("tenants must be non-empty")
@@ -122,24 +123,24 @@ def simulate_colocated(tenants: Sequence[Tenant],
         if not 0 <= node_id < cluster.nodes:
             raise ValueError(f"unknown node {node_id} for workload {workload_id!r}")
         by_node.setdefault(node_id, []).append(tenant)
+    total_pressure: dict[int, list[int]] = {}
     for node_id, group in by_node.items():
         cores = sum(spec.cores for _, _, spec, _ in group)
         mem = sum(spec.memory_gb for _, _, spec, _ in group)
         if cores > cluster.node_cores or mem > cluster.node_memory_gb:
             raise ValueError(f"node {node_id} is overcommitted")
+        total_pressure[node_id] = [sum(profile.get(resource).pressure
+                                       for _, _, _, profile in group)
+                                   for resource in SharedResource]
 
     theta = cluster.pressure_threshold
     levels = cluster.constants.levels
     entries = []
     for workload_id, node_id, spec, profile in tenants:
         sd = 1.0
-        for resource in SharedResource:
-            external = sum(
-                other_profile.get(resource).pressure
-                for other_id, _, _, other_profile in by_node[node_id]
-                if other_id != workload_id
-            )
-            sd *= degradation_factor(external, profile.get(resource).sensitivity,
+        for resource, total in zip(SharedResource, total_pressure[node_id]):
+            own = profile.get(resource)
+            sd *= degradation_factor(total - own.pressure, own.sensitivity,
                                      cluster.gamma, theta, levels)
         entries.append(SlowdownEntry(workload_id, node_id, sd))
 

@@ -192,6 +192,37 @@ def test_schedule_rejects_duplicate_ids_with_exit_1(workdir, tmp_path):
     assert not (out / "placements.jsonl").exists()
 
 
+def _loud_requests(path, count):
+    # every request: 1 core, 1 GB, pressure and sensitivity 20 everywhere
+    levels = {"pressure": 20, "sensitivity": 20}
+    path.write_text(json.dumps({"requests": [
+        {"workload_id": i, "spec": {"cores": 1, "memory_gb": 1},
+         "profile": {r: levels for r in ("llc", "membw", "disk", "network")}}
+        for i in range(count)]}))
+    return str(path)
+
+
+def test_schedule_refuses_a_scaler_that_is_not_finite(workdir, tmp_path):
+    args, out = _cfg_args(workdir, "schedule_inf")
+    rc, _, stderr = _run("schedule", *args, "--scaler", "inf", "--requests",
+                         _loud_requests(tmp_path / "requests.json", 2))
+    assert (rc, stderr) == (1, "error: scaler must be finite and > 1, got inf\n")
+    assert not (out / "placements.jsonl").exists()
+
+
+def test_schedule_exits_1_when_a_risk_overflows(workdir, tmp_path):
+    # 10 ** 320 overflows a float: the 16th request on the node reaches it.
+    nodes = tmp_path / "nodes.json"
+    nodes.write_text(json.dumps({"count": 1, "cores": 96}))
+    args, out = _cfg_args(workdir, "schedule_overflow")
+    rc, _, stderr = _run("schedule", *args, "--scaler", "10", "--nodes", str(nodes),
+                         "--requests", _loud_requests(tmp_path / "requests.json", 40))
+    assert (rc, stderr) == (1, "error: node 0: contention risk is not finite at "
+                               "scaler 10.0 with summed pressure llc 320, membw 320, "
+                               "disk 320, network 320\n")
+    assert not (out / "placements.jsonl").exists()
+
+
 def test_simulate_scores_placements(workdir):
     args, out = _cfg_args(workdir, "simulate")
     rc, stdout, _ = _run(
@@ -326,6 +357,7 @@ def _one_error_line(stderr):
     {"theta": float("-inf")}, {"noise_sigma": -0.1}, {"surface_noise": -0.1},
     {"footprint_noise": -0.1}, {"probe_noise": -0.1}, {"mlp_epochs": -1},
     {"cost_weight_cores": -1.0}, {"cost_weight_memory": -1.0}, {"archetype_count": 1},
+    {"scaler": 0.5}, {"scaler": 1.0}, {"scaler": float("inf")},
 ])
 def test_bad_config_exits_1_before_any_work(override, tmp_path):
     # gen never reads the cluster settings, so a bad gamma or node count

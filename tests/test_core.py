@@ -162,3 +162,15 @@ def test_module_exports_resolve(module):
     namespace: dict = {}
     exec(f"from capsched.{module} import *", namespace)
     assert set(mod.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3000])
+def test_canonical_json_is_the_indented_sorted_dump(rows):
+    # 3000 rows are more tokens than one batch of the chunked join.
+    rng = np.random.default_rng(rows)
+    obj = {"rows": [{"id": i, "x": float(rng.normal()), "name": f"wé{i}",
+                     "tags": [None, True, {"b": 1, "a": []}]} for i in range(rows)],
+           "empty": {}}
+    want = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert canonical_json(obj) == want
+    assert canonical_json("x") == '"x"\n'

@@ -197,3 +197,37 @@ def test_report_serialization():
     # repr-formatted floats survive a parse round trip
     sd = float(lines[2].split(",")[2])
     assert sd == report.entries[1].sd
+
+
+def _oracle_sds(tenants, cluster):
+    # The O(k^2) neighbour loop: every tenant sums its neighbours' pressure.
+    sds = []
+    for workload_id, node_id, _, profile in tenants:
+        sd = 1.0
+        for attr in ("llc", "membw", "disk", "network"):
+            external = sum(getattr(other, attr).pressure
+                           for other_id, other_node, _, other in tenants
+                           if other_node == node_id and other_id != workload_id)
+            sd *= degradation_factor(external, getattr(profile, attr).sensitivity,
+                                     cluster.gamma, cluster.pressure_threshold,
+                                     cluster.constants.levels)
+        sds.append(sd)
+    return sds
+
+
+def test_simulate_matches_the_neighbour_loop_bit_for_bit():
+    rng = np.random.default_rng(616)
+    for case in range(150):
+        nodes = int(rng.integers(1, 5))
+        cluster = ClusterSpec(nodes=nodes, gamma=float(rng.uniform(0.1, 2.0)),
+                              theta=None if case % 3 else float(rng.uniform(0, 30)))
+        tenants = []
+        for i in range(int(rng.integers(1, 40))):
+            levels = [(int(p), int(s)) for p, s in rng.integers(0, 21, size=(4, 2))]
+            tenants.append((i if case % 2 else f"w{i}", int(rng.integers(0, nodes)),
+                            ResourceSpec(1, 1), _profile(*levels)))
+        report = simulate_colocated(tenants, cluster)
+        want = _oracle_sds(tenants, cluster)
+        assert [e.sd for e in report.entries] == want
+        assert [e.workload_id for e in report.entries] == [t[0] for t in tenants]
+        assert report.p_sys == sum(want)

@@ -29,7 +29,6 @@ from .estimator import (
     ReferenceTracks,
     ResourceFootprint,
     SimulatedProbe,
-    WorkloadProbe,
     build_profile,
     stress_reference_tracks,
 )

@@ -39,7 +39,7 @@ from .experiment import (
     train_bundle,
 )
 from .planner import ModelBundle, PlanningRequest, plan_capacity
-from .scheduler import REQUEST_FIELDS, NodeState, ScheduleConfig, place
+from .scheduler import REQUEST_FIELDS, NodeState, ScheduleConfig, place, request_json
 from .simulator import simulate_colocated
 from .workload_synth import WorkloadSet, probe_for
 
@@ -190,8 +190,7 @@ def cmd_estimate(args) -> int:
         probe = probe_for(w, spec, wset.constants,
                           noise_sigma=config.probe_noise, seed=w.noise_seed)
         profile = build_profile(probe, tracks)
-        records.append({"workload_id": w.workload_id, "spec": spec.to_json(),
-                        "profile": profile.to_json()})
+        records.append(request_json(w.workload_id, spec, profile))
     write_json(out / "profiles.json",
                {"schema": "profiles/v1", "profiles": records})
     print(f"wrote {out / 'profiles.json'}: {len(records)} profiles")
@@ -303,7 +302,7 @@ def cmd_simulate(args) -> int:
     report = simulate_colocated(list(tenants.values()), cluster)
     write_json(out / "simulation.json",
                {"schema": "simulation-report/v1", **report.to_json()})
-    (out / "simulation.csv").write_text(report.to_csv(), encoding="utf-8")
+    _write_csv(out / "simulation.csv", (e.to_json() for e in report.entries))
     print(f"p_sys={report.p_sys:.4f} unfairness={report.unfairness:.4f} "
           f"({len(tenants)} tenants)")
     return 0

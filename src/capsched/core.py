@@ -8,7 +8,7 @@ The pipeline moves three kinds of data between its stages:
   sensitivity levels on a common 0..N scale.
 
 Everything here is a plain frozen dataclass. Records share one JSON
-encoder and one type-checking decoder (JsonRecord, decode), so CLI
+encoder and one type-checking decoder (fields_json, decode), so CLI
 outputs are stable byte-for-byte across reruns of the same inputs.
 """
 
@@ -42,6 +42,7 @@ __all__ = [
     "INDEX_NAMES",
     "canonical_json",
     "decode",
+    "fields_json",
     "read_json",
     "round_half_up",
     "write_json",
@@ -184,26 +185,37 @@ def _field_types(cls) -> dict:
 
 
 def _form(value):
-    if isinstance(value, JsonRecord):
+    if hasattr(value, "to_json"):
         return value.to_json()
     return [_form(v) for v in value] if isinstance(value, tuple) else value
 
 
-class JsonRecord:
-    """A dataclass whose JSON form is an object of its fields.
+def fields_json(record) -> dict:
+    """The JSON form of a dataclass as an object of its fields. A field
+    with a to_json takes that form, a tuple becomes a list, and any
+    other value stays as it is."""
+    return {f.name: _form(getattr(record, f.name)) for f in fields(record)}
 
-    Each field maps to its own form: a record to its object, a tuple to
-    a list, any other value to itself. Loading checks every field's
-    JSON type against its annotation through decode.
+
+class JsonRecord:
+    """A dataclass whose JSON form is fields_json of it.
+
+    Loading checks every field's JSON type against its annotation
+    through decode; a value the constructor refuses is named by where.
     """
 
     def to_json(self) -> dict:
-        return {f.name: _form(getattr(self, f.name)) for f in fields(self)}
+        return fields_json(self)
 
     @classmethod
     def from_json(cls, obj, where: str | None = None):
         """The record whose JSON form is obj; where names it in errors."""
-        return cls(**decode(_field_types(cls), obj, where or cls.__name__))
+        where = where or cls.__name__
+        got = decode(_field_types(cls), obj, where)
+        try:
+            return cls(**got)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True, order=True)
@@ -283,6 +295,10 @@ class ConfigRegion(JsonRecord):
         return ResourceSpec(self.core_levels[-1], self.memory_levels_gb[-1])
 
 
+# How far a speedup may fall along an axis before is_monotone says no.
+MONOTONE_TOL = 1e-9
+
+
 def _bracket(levels: tuple[int, ...], value: float) -> tuple[int, int, float]:
     """Indexes of the bracketing grid levels and the interpolation weight of the upper one."""
     if value <= levels[0]:
@@ -356,9 +372,9 @@ class ScalingSurface:
         return ScalingSurface(region=self.region, base_spec=new_base,
                               values=self.values / self.values[self._index(new_base)])
 
-    def is_monotone(self, tol: float = 1e-9) -> bool:
-        """Non-decreasing along both resource axes."""
-        v = self.values
+    def is_monotone(self) -> bool:
+        """Non-decreasing along both resource axes, up to MONOTONE_TOL."""
+        v, tol = self.values, MONOTONE_TOL
         return bool((v[1:] >= v[:-1] - tol).all() and (v[:, 1:] >= v[:, :-1] - tol).all())
 
     def to_json(self) -> dict:
@@ -463,9 +479,6 @@ class InterferenceProfile(JsonRecord):
 
     def get(self, resource: SharedResource) -> PressureSensitivity:
         return getattr(self, resource.value)
-
-    def items(self) -> tuple[tuple[SharedResource, PressureSensitivity], ...]:
-        return tuple((r, self.get(r)) for r in SharedResource)
 
     @classmethod
     def zero(cls) -> "InterferenceProfile":

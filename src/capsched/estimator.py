@@ -18,13 +18,11 @@ and sensitivity from shrinking the allocation until kmps rises by at
 least 10% over the full-cache value.
 
 Only the probe touches a node. `SimulatedProbe` answers from a
-ground-truth resource footprint; a real backend would wire the same
-interface to CAT, fio and friends.
+ground-truth resource footprint in place of CAT, fio and friends.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -45,7 +43,6 @@ __all__ = [
     "ReferenceTracks",
     "ResourceFootprint",
     "SimulatedProbe",
-    "WorkloadProbe",
     "build_profile",
     "llc_sensitivity_ways",
     "pressure_level",
@@ -111,34 +108,13 @@ RATE_FIELDS = {
 }
 
 
-class WorkloadProbe(abc.ABC):
-    """Measurement channel to one workload running solo on a node.
+class SimulatedProbe:
+    """Measurement channel to one workload running solo on a node,
+    backed by a ground-truth footprint instead of hardware.
 
     Stress level 0 means no stress. Bandwidth stressors are LLC
     neutral (confined to minimal cache), so stressing one resource
     does not disturb the others' readings.
-    """
-
-    @property
-    @abc.abstractmethod
-    def constants(self) -> NodeConstants:
-        """Physical capacities of the node behind the probe."""
-
-    @abc.abstractmethod
-    def read_usage(self, resource: SharedResource) -> float:
-        """Solo usage in native units: kmps, GB/s, IOPS, GB/s."""
-
-    @abc.abstractmethod
-    def set_llc_ways(self, ways: int) -> float:
-        """Restrict the workload to `ways` cache ways, return its kmps."""
-
-    @abc.abstractmethod
-    def apply_stress(self, resource: SharedResource, level: int) -> float:
-        """Run the level-`level` stressor, return the workload's usage."""
-
-
-class SimulatedProbe(WorkloadProbe):
-    """Probe backed by a ground-truth footprint instead of hardware.
 
     activity scales the footprint's usage rates to the spec the
     workload is deployed on (1.0 = full activity). Under stress the
@@ -164,6 +140,7 @@ class SimulatedProbe(WorkloadProbe):
 
     @property
     def constants(self) -> NodeConstants:
+        """Physical capacities of the node behind the probe."""
         return self._constants
 
     def _noisy(self, value: float) -> float:
@@ -182,14 +159,17 @@ class SimulatedProbe(WorkloadProbe):
         return n - min(getattr(self._footprint, RATE_FIELDS[resource][1]), n)
 
     def read_usage(self, resource: SharedResource) -> float:
+        """Solo usage in native units: kmps, GB/s, IOPS, GB/s."""
         return self._noisy(self._solo_usage(resource))
 
     def set_llc_ways(self, ways: int) -> float:
+        """Restrict the workload to `ways` cache ways, return its kmps."""
         if not 1 <= ways <= self._constants.llc_ways:
             raise ValueError(f"ways must be in 1..{self._constants.llc_ways}, got {ways}")
         return self._noisy(self._activity * self._footprint.kmps_at(ways))
 
     def apply_stress(self, resource: SharedResource, level: int) -> float:
+        """Run the level-`level` stressor, return the workload's usage."""
         if resource is SharedResource.LLC:
             raise ValueError("LLC sensitivity uses set_llc_ways, not a stressor")
         if level < 0:
@@ -306,18 +286,18 @@ def pressure_level(usage: float, physical: float, n_levels: int) -> int:
     return min(n_levels, round_half_up(n_levels * usage / physical))
 
 
-def llc_sensitivity_ways(kmps: Sequence[float], rise: float = DEGRADATION_THRESHOLD) -> int:
+def llc_sensitivity_ways(kmps: Sequence[float]) -> int:
     """Way count at the first >=10% kmps rise, scanning from full cache down.
 
     kmps[w - 1] is the reading with w ways. The result is the largest w
-    with kmps_w > kmps_full and kmps_w >= (1 + rise) * kmps_full. A flat
-    (or all-zero) track never crosses and scores 0: the workload does
-    not care about the cache.
+    with kmps_w > kmps_full and kmps_w >= (1 + DEGRADATION_THRESHOLD) *
+    kmps_full. A flat (or all-zero) track never crosses and scores 0:
+    the workload does not care about the cache.
     """
     full = kmps[-1]
     for ways in range(len(kmps) - 1, 0, -1):
         k = kmps[ways - 1]
-        if k > full and k >= (1.0 + rise) * full:
+        if k > full and k >= (1.0 + DEGRADATION_THRESHOLD) * full:
             return ways
     return 0
 
@@ -327,7 +307,7 @@ def ways_to_level(ways: int, llc_ways: int, n_levels: int) -> int:
     return min(n_levels, round_half_up(ways * n_levels / llc_ways))
 
 
-def quantify_llc(probe: WorkloadProbe,
+def quantify_llc(probe: SimulatedProbe,
                  reference_tracks: ReferenceTracks) -> PressureSensitivity:
     """Pressure from track matching, sensitivity from way shrinking."""
     w = probe.constants.llc_ways
@@ -337,7 +317,7 @@ def quantify_llc(probe: WorkloadProbe,
     return PressureSensitivity(pressure=pressure, sensitivity=sensitivity)
 
 
-def _sweep_sensitivity(probe: WorkloadProbe, resource: SharedResource,
+def _sweep_sensitivity(probe: SimulatedProbe, resource: SharedResource,
                        n_levels: int, baseline: float) -> int:
     """Ascending stress sweep; first >=10% drop wins.
 
@@ -370,7 +350,7 @@ def rate_capacity(constants: NodeConstants, resource: SharedResource) -> float:
     raise ValueError(f"{resource} is not a rate resource")
 
 
-def quantify_rate(probe: WorkloadProbe, resource: SharedResource) -> PressureSensitivity:
+def quantify_rate(probe: SimulatedProbe, resource: SharedResource) -> PressureSensitivity:
     """Pressure from solo usage, sensitivity from an ascending stress sweep."""
     constants = probe.constants
     usage = probe.apply_stress(resource, 0)
@@ -380,7 +360,7 @@ def quantify_rate(probe: WorkloadProbe, resource: SharedResource) -> PressureSen
     return PressureSensitivity(pressure=pressure, sensitivity=sens)
 
 
-def build_profile(probe: WorkloadProbe,
+def build_profile(probe: SimulatedProbe,
                   reference_tracks: ReferenceTracks | None = None) -> InterferenceProfile:
     """Quantify all four resources, one at a time, and assemble the profile.
 

@@ -9,7 +9,7 @@ data with enough raw per-row fields to recompute every aggregate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence, get_type_hints
 
@@ -26,6 +26,7 @@ from .core import (
     ScalingSurface,
     SystemIndexVector,
     decode,
+    fields_json,
     read_json,
 )
 from .estimator import build_profile, stress_reference_tracks
@@ -167,7 +168,12 @@ class ExperimentConfig(JsonRecord):
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        return cls.from_json(read_json(path))
+        """Config from a JSON file; any fault in its values names the file."""
+        obj = read_json(path)
+        try:
+            return cls.from_json(obj)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def split_train_val(config: ExperimentConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -258,9 +264,7 @@ class ValidationReport:
     max_error: float
 
     def to_json(self) -> dict:
-        return {"schema": "validation-report/v1", "base": self.base, "k": self.k,
-                "mean_error": self.mean_error, "max_error": self.max_error,
-                "rows": list(self.rows)}
+        return {"schema": "validation-report/v1", **fields_json(self)}
 
 
 def evaluate_validation(config: ExperimentConfig, wset: WorkloadSet,
@@ -297,8 +301,7 @@ class ScenarioReport:
     summary: dict
 
     def to_json(self) -> dict:
-        return {"schema": self.schema, "summary": self.summary,
-                "rows": list(self.rows)}
+        return fields_json(self)
 
 
 def run_scenario1(config: ExperimentConfig, wset: WorkloadSet,
@@ -485,9 +488,11 @@ def run_colocation(config: ExperimentConfig, wset: WorkloadSet,
     recommended spec, then places by risk score. The baseline keeps
     the requested specs and places by least requested capacity. Both
     deployments run through the same degradation model with
-    ground-truth profiles.
+    ground-truth profiles, on the cluster of the config with wset's
+    node constants.
     """
     references = stress_reference_tracks(wset.constants)
+    cluster = replace(config.cluster_spec, constants=wset.constants)
     rows = []
     for trial in range(config.trials):
         tenants = _draw_tenants(config, wset, trial)
@@ -534,8 +539,8 @@ def run_colocation(config: ExperimentConfig, wset: WorkloadSet,
         lrp_tenants = [(p.workload_id, p.node_id, by_id[p.workload_id].origin_spec,
                         by_id[p.workload_id].ground_truth_profile)
                        for p in lrp_placements]
-        ursa_report = simulate_colocated(ursa_tenants, config.cluster_spec)
-        lrp_report = simulate_colocated(lrp_tenants, config.cluster_spec)
+        ursa_report = simulate_colocated(ursa_tenants, cluster)
+        lrp_report = simulate_colocated(lrp_tenants, cluster)
         row.update({
             "ursa_p_sys": ursa_report.p_sys,
             "ursa_unfairness": ursa_report.unfairness,

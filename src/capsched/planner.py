@@ -33,6 +33,7 @@ from .core import (
     SystemIndexVector,
     INDEX_NAMES,
     decode,
+    fields_json,
     read_json,
     write_json,
 )
@@ -60,6 +61,12 @@ __all__ = [
 DEFAULT_K = 20
 DEFAULT_EPSILON = 0.05
 DEFAULT_COST_WEIGHTS = (1.0, 0.25)
+
+# Convergence tolerance and sweep cap of the Lasso coordinate descent,
+# and the number of cross-validation folds that choose its lambda.
+LASSO_TOL = 1e-6
+LASSO_MAX_SWEEPS = 100000
+CV_FOLDS = 5
 
 # Lloyd's loop takes about 20 steps on the worlds studied; the cap catches a bug.
 KMEANS_MAX_ITER = 300
@@ -105,14 +112,14 @@ def _soft_threshold(value: float, threshold: float) -> float:
     return 0.0
 
 
-def _coordinate_descent(xs: np.ndarray, yc: np.ndarray, lam: float,
-                        tol: float, max_iter: int = 100000) -> np.ndarray:
+def _coordinate_descent(xs: np.ndarray, yc: np.ndarray, lam: float) -> np.ndarray:
     """Lasso on standardized columns: min (1/2n)||yc - xs b||^2 + lam ||b||_1.
 
     With unit-variance columns each coordinate update is a plain soft
-    threshold. Stops when no coefficient moves more than tol relative
-    to the largest coefficient, or when a full sweep no longer lowers
-    the objective by a tol fraction. The objective check matters on
+    threshold. Stops when no coefficient moves more than LASSO_TOL
+    relative to the largest coefficient, when a full sweep no longer
+    lowers the objective by a LASSO_TOL fraction, or after
+    LASSO_MAX_SWEEPS sweeps. The objective check matters on
     underdetermined data, where coefficients can drift along a
     near-null space long after the fit itself has converged.
     """
@@ -122,7 +129,7 @@ def _coordinate_descent(xs: np.ndarray, yc: np.ndarray, lam: float,
     residual = yc.copy()
     obj0 = 0.5 * float(yc @ yc) / n
     prev_obj = obj0
-    for _ in range(max_iter):
+    for _ in range(LASSO_MAX_SWEEPS):
         max_step = 0.0
         for j in range(p):
             if col_scale[j] == 0.0:
@@ -135,10 +142,10 @@ def _coordinate_descent(xs: np.ndarray, yc: np.ndarray, lam: float,
                 beta[j] = new
                 max_step = max(max_step, abs(new - old))
         scale = max(1.0, float(np.max(np.abs(beta))) if p else 1.0)
-        if max_step <= tol * scale:
+        if max_step <= LASSO_TOL * scale:
             break
         obj = 0.5 * float(residual @ residual) / n + lam * float(np.abs(beta).sum())
-        if prev_obj - obj <= tol * max(1.0, obj0):
+        if prev_obj - obj <= LASSO_TOL * max(1.0, obj0):
             break
         prev_obj = obj
     return beta
@@ -171,7 +178,7 @@ class FeatureSelection:
         return cls(lam=got["lambda"], weights=got["weights"], selected=got["selected"])
 
 
-def select_features(samples, lam: float, tol: float = 1e-6) -> FeatureSelection:
+def select_features(samples, lam: float) -> FeatureSelection:
     """Fit the standardized Lasso and keep the nonzero support.
 
     lam = 0 degenerates to ordinary least squares, so every feature
@@ -182,21 +189,20 @@ def select_features(samples, lam: float, tol: float = 1e-6) -> FeatureSelection:
     x, y = _as_matrix(samples)
     xs, _, _ = _standardize(x)
     yc = y - y.mean()
-    beta = _coordinate_descent(xs, yc, lam, tol)
+    beta = _coordinate_descent(xs, yc, lam)
     selected = tuple(int(j) for j in range(len(beta)) if abs(beta[j]) > 1e-9)
     return FeatureSelection(lam=float(lam), weights=tuple(float(b) for b in beta),
                             selected=selected)
 
 
-def select_features_cv(samples, rng_seed: int, folds: int = 5,
-                       tol: float = 1e-6) -> FeatureSelection:
-    """Pick lambda by k-fold cross-validation, then refit on all samples.
+def select_features_cv(samples, rng_seed: int) -> FeatureSelection:
+    """Pick lambda by CV_FOLDS-fold cross-validation, then refit on all samples.
 
     Ties in validation error go to the larger lambda (sparser model).
     """
     x, y = _as_matrix(samples)
     n = len(y)
-    folds = min(folds, n)
+    folds = min(CV_FOLDS, n)
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 11]))
     order = rng.permutation(n)
     fold_of = np.zeros(n, dtype=int)
@@ -211,14 +217,14 @@ def select_features_cv(samples, rng_seed: int, folds: int = 5,
                 continue
             xs, mean, std = _standardize(x[train])
             yc_mean = y[train].mean()
-            beta = _coordinate_descent(xs, y[train] - yc_mean, float(lam), tol)
+            beta = _coordinate_descent(xs, y[train] - yc_mean, float(lam))
             pred = ((x[val] - mean) / std) @ beta + yc_mean
             errors.append(float(np.mean((pred - y[val]) ** 2)))
         mse = float(np.mean(errors))
         if best_mse is None or mse < best_mse - 1e-12 or (
                 abs(mse - best_mse) <= 1e-12 and lam > best_lam):
             best_lam, best_mse = float(lam), mse
-    return select_features(samples, best_lam, tol)
+    return select_features(samples, best_lam)
 
 
 @dataclass(frozen=True)
@@ -236,10 +242,7 @@ class SurfaceClustering:
     cost_history: tuple[float, ...]
 
     def to_json(self) -> dict:
-        return {"k": self.k,
-                "centroids": [c.to_json() for c in self.centroids],
-                "assignments": list(self.assignments),
-                "cost_history": list(self.cost_history)}
+        return fields_json(self)
 
     @classmethod
     def from_json(cls, region: ConfigRegion, obj,
@@ -410,11 +413,7 @@ class SurfaceClassifier:
         return int(self.model.predict(feats)[0])
 
     def to_json(self) -> dict:
-        return {"base_spec": self.base_spec.to_json(), "kind": "mlp",
-                "selection": self.selection.to_json(),
-                "mean": list(self.mean), "std": list(self.std),
-                "n_classes": self.n_classes, "model": self.model.to_json(),
-                "training_accuracy": self.training_accuracy}
+        return {"kind": "mlp", **fields_json(self)}
 
     @classmethod
     def from_json(cls, obj, where: str = "classifier") -> "SurfaceClassifier":

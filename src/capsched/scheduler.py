@@ -24,6 +24,7 @@ from .core import (
     ResourceSpec,
     SharedResource,
     decode,
+    fields_json,
 )
 
 DEFAULT_NODE_CORES = 96
@@ -39,8 +40,12 @@ POLICY_LRP = "lrp"
 REQUEST_FIELDS = {"workload_id": int | str, "spec": ResourceSpec,
                   "profile": InterferenceProfile}
 
-# Column of each shared resource in the per-resource aggregates.
-_COLUMN = {resource: i for i, resource in enumerate(SharedResource)}
+
+def request_json(workload_id: int | str, spec: ResourceSpec,
+                 profile: InterferenceProfile) -> dict:
+    """The JSON form of one request, as REQUEST_FIELDS reads it."""
+    return {"workload_id": workload_id, "spec": spec.to_json(),
+            "profile": profile.to_json()}
 
 
 @dataclass
@@ -92,12 +97,6 @@ class NodeState:
     def fits(self, spec: ResourceSpec) -> bool:
         return spec.cores <= self.free_cores and spec.memory_gb <= self.free_memory_gb
 
-    def sum_pressure(self, resource: SharedResource) -> int:
-        return self._sum_p[_COLUMN[resource]]
-
-    def max_sensitivity(self, resource: SharedResource) -> int:
-        return self._max_s[_COLUMN[resource]]
-
     def add(self, workload_id: str, spec: ResourceSpec,
             profile: InterferenceProfile) -> None:
         if not self.fits(spec):
@@ -114,11 +113,7 @@ class NodeState:
             "capacity": self.capacity.to_json(),
             "used_cores": self.used_cores,
             "used_memory_gb": self.used_memory_gb,
-            "deployed": [
-                {"workload_id": wid, "spec": spec.to_json(),
-                 "profile": profile.to_json()}
-                for wid, spec, profile in self.deployed
-            ],
+            "deployed": [request_json(*tenant) for tenant in self.deployed],
         }
 
     @classmethod
@@ -131,7 +126,10 @@ class NodeState:
         got["deployed"] = [
             tuple(decode(REQUEST_FIELDS, d, f"{where}.deployed[{i}]").values())
             for i, d in enumerate(got["deployed"])]
-        return cls(**got)
+        try:
+            return cls(**got)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 def _check_scaler(scaler: float) -> None:
@@ -157,8 +155,7 @@ class Placement:
     score: float
 
     def to_json(self) -> dict:
-        return {"workload_id": self.workload_id, "node_id": self.node_id,
-                "score": self.score}
+        return fields_json(self)
 
 
 # Longest power table; a summed pressure past it is far beyond any

@@ -11,7 +11,6 @@ exactly 1.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,13 +69,6 @@ class SlowdownReport(JsonRecord):
     entries: tuple[SlowdownEntry, ...]
     p_sys: float
     unfairness: float
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("workload_id,node_id,sd\n")
-        for e in self.entries:
-            buf.write(f"{e.workload_id},{e.node_id},{e.sd!r}\n")
-        return buf.getvalue()
 
 
 def degradation_factor(pressure: float, sensitivity: float, gamma: float,

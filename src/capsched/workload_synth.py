@@ -49,6 +49,7 @@ from .core import (
     SystemIndexVector,
     INDEX_NAMES,
     decode,
+    fields_json,
     read_json,
     write_json,
 )
@@ -179,13 +180,7 @@ class Workload:
     ground_truth_profile: InterferenceProfile
 
     def to_json(self) -> dict:
-        return {"workload_id": self.workload_id,
-                "archetype_id": self.archetype_id,
-                "noise_seed": self.noise_seed,
-                "origin_spec": self.origin_spec.to_json(),
-                "params": self.params.to_json(),
-                "ground_truth_surface": self.ground_truth_surface.to_json(),
-                "ground_truth_profile": self.ground_truth_profile.to_json()}
+        return fields_json(self)
 
     @classmethod
     def from_json(cls, region: ConfigRegion, obj, where: str = "workload") -> "Workload":
@@ -558,15 +553,7 @@ class WorkloadSet:
         raise KeyError(f"no workload {workload_id}")
 
     def to_json(self) -> dict:
-        return {"schema": "workload-set/v1",
-                "seed": self.seed,
-                "surface_noise": self.surface_noise,
-                "footprint_noise": self.footprint_noise,
-                "region": self.region.to_json(),
-                "base_spec": self.base_spec.to_json(),
-                "constants": self.constants.to_json(),
-                "archetypes": [a.to_json() for a in self.archetypes],
-                "workloads": [w.to_json() for w in self.workloads]}
+        return {"schema": "workload-set/v1", **fields_json(self)}
 
     def save(self, path) -> None:
         write_json(path, self.to_json())

@@ -237,6 +237,11 @@ def test_simulate_scores_placements(workdir):
     csv_lines = (out / "simulation.csv").read_text().strip().split("\n")
     assert csv_lines[0] == "workload_id,node_id,sd"
     assert len(csv_lines) == TINY.workload_count + 1
+    # repr-formatted floats survive a parse round trip
+    for line, entry in zip(csv_lines[1:], report["entries"]):
+        assert line.split(",") == [str(entry["workload_id"]), str(entry["node_id"]),
+                                   repr(entry["sd"])]
+        assert float(line.split(",")[2]) == entry["sd"]
 
 
 def test_scenario1_emits_report_and_csv(workdir):
@@ -376,13 +381,37 @@ def test_bad_config_names_key_and_type(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"k": "5"}))
     rc, _, stderr = _run("gen", "--config", str(path), "--out", str(tmp_path))
-    assert (rc, stderr) == (1, "error: config key 'k' needs an integer, got \"5\"\n")
+    assert (rc, stderr) == (1, f"error: {path}: config key 'k' needs an integer, "
+                               "got \"5\"\n")
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"k": 99}, "k must be in [1, train_count]"),
+    ({"k": 3.5}, "config key 'k' needs an integer, got 3.5"),
+])
+def test_gen_names_the_config_file_in_range_and_type_errors(override, message, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(override))
+    rc, _, stderr = _run("gen", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert (rc, stderr) == (1, f"error: {path}: {message}\n")
+    assert not (tmp_path / "o" / "workloads.json").exists()
+
+
+def _request_row(cores=1, pressure=0):
+    levels = {"pressure": 0, "sensitivity": 0}
+    return {"workload_id": 1, "spec": {"cores": cores, "memory_gb": 1},
+            "profile": {"llc": {**levels, "pressure": pressure}, "membw": levels,
+                        "disk": levels, "network": levels}}
 
 
 @pytest.mark.parametrize("rows, message", [
     ([{"workload_id": 1, "profile": {}}], "request row 0 has no 'spec'"),
     (["w1"], "request row 0 is not a JSON object"),
     ({"requests": {"w1": {}}}, "requests file needs a 'requests' or 'profiles' list"),
+    ([_request_row(pressure=-1)], "request row 0.profile.llc: levels must be in "
+     "[0, 2147483647], got PressureSensitivity(pressure=-1, sensitivity=0)"),
+    ([_request_row(cores=0)], "request row 0.spec: spec must be positive, "
+     "got ResourceSpec(cores=0, memory_gb=1)"),
 ])
 def test_schedule_rejects_bad_request_rows(rows, message, workdir, tmp_path):
     requests = tmp_path / "requests.json"
@@ -504,6 +533,11 @@ def test_plan_rejects_inconsistent_bundle(mutate, message, workdir, tmp_path):
      "node row 0 has no 'node_id'"),
     ({"nodes": ["n0"]}, "node row 0 is not a JSON object"),
     ({"nodes": {"n0": {}}}, "'nodes' must be a list"),
+    ({"nodes": [{"node_id": -1, "capacity": {"cores": 96, "memory_gb": 256}}]},
+     "node row 0: node_id must be non-negative"),
+    ({"nodes": [{"node_id": 0, "capacity": {"cores": 96, "memory_gb": 256},
+                 "used_cores": 97}]},
+     "node row 0: used resources exceed capacity"),
 ])
 def test_schedule_rejects_bad_node_rows(inventory, message, workdir, tmp_path):
     nodes = tmp_path / "nodes.json"

@@ -1,10 +1,12 @@
 """End-to-end study orchestration on a scaled-down configuration."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from capsched.core import ResourceSpec, canonical_json
+from capsched import experiment
+from capsched.core import NodeConstants, ResourceSpec, canonical_json
 from capsched.experiment import (
     ExperimentConfig,
     build_workload_set,
@@ -17,6 +19,8 @@ from capsched.experiment import (
     split_train_val,
     train_bundle,
 )
+from capsched.simulator import simulate_colocated
+from capsched.workload_synth import WorkloadSet
 
 
 def test_config_json_roundtrip(small_config):
@@ -141,6 +145,31 @@ def test_colocation_trials_are_deterministic(small_config, small_wset, small_bun
             assert row["lrp_p_sys"] > 0
             assert row["p_sys_ratio"] == pytest.approx(
                 row["ursa_p_sys"] / row["lrp_p_sys"])
+
+
+def test_colocation_simulates_on_the_workload_sets_node_constants(small_config,
+                                                                   monkeypatch):
+    # A saved world of 10 levels and 8 ways: the simulator's threshold, a
+    # quarter of the levels, and its normalization must follow that world.
+    constants = NodeConstants(levels=10, llc_ways=8)
+    wset = WorkloadSet.from_json(json.loads(canonical_json(WorkloadSet.generate(
+        archetype_count=small_config.archetype_count,
+        workload_count=small_config.workload_count, seed=small_config.rng_seed,
+        region=small_config.region, constants=constants,
+        base_spec=small_config.base_spec).to_json())))
+    bundle = train_bundle(small_config, wset)
+    clusters = []
+
+    def recording(tenants, cluster):
+        clusters.append(cluster)
+        return simulate_colocated(tenants, cluster)
+
+    monkeypatch.setattr(experiment, "simulate_colocated", recording)
+    report = run_colocation(small_config, wset, bundle)
+    assert report.summary["aborted"] == 0
+    assert len(clusters) == 2 * small_config.trials
+    assert set(clusters) == {replace(small_config.cluster_spec, constants=constants)}
+    assert clusters[0].pressure_threshold == 2.5
 
 
 def test_hyperparam_sweep_covers_requested_grid(small_config, small_wset):

@@ -25,6 +25,9 @@ from capsched.scheduler import (
     POLICY_LRP,
     POLICY_URSA,
     ScheduleConfig,
+    _MAX_S,
+    _SUM_P,
+    _rows,
     contention_risk,
     place,
     score_node,
@@ -126,9 +129,9 @@ def _requests(rng, count):
 
 
 def _assert_aggregates(node):
-    for resource in SharedResource:
-        assert node.sum_pressure(resource) == _oracle_sum_pressure(node, resource)
-        assert node.max_sensitivity(resource) == _oracle_max_sensitivity(node, resource)
+    row = _rows([node])[0]
+    assert row[_SUM_P].tolist() == [_oracle_sum_pressure(node, r) for r in SharedResource]
+    assert row[_MAX_S].tolist() == [_oracle_max_sensitivity(node, r) for r in SharedResource]
 
 
 def _assert_same_placement(requests, nodes, config, one_per_call=False):
@@ -276,8 +279,8 @@ def test_aggregates_do_not_change_equality_or_json():
     twin = NodeState(node_id=3, capacity=ResourceSpec(48, 128), used_cores=4,
                      used_memory_gb=8, deployed=list(node.deployed))
     assert twin == node
-    assert [twin.sum_pressure(r) for r in SharedResource] == [3, 1, 0, 7]
-    assert [twin.max_sensitivity(r) for r in SharedResource] == [5, 2, 0, 1]
+    assert _rows([twin])[0, _SUM_P].tolist() == [3, 1, 0, 7]
+    assert _rows([twin])[0, _MAX_S].tolist() == [5, 2, 0, 1]
 
 
 # --- scores that are not finite ---

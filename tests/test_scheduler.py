@@ -8,7 +8,6 @@ from capsched.core import (
     InterferenceProfile,
     PressureSensitivity,
     ResourceSpec,
-    SharedResource,
 )
 from capsched.scheduler import (
     NodeState,
@@ -16,6 +15,9 @@ from capsched.scheduler import (
     POLICY_LRP,
     POLICY_URSA,
     ScheduleConfig,
+    _MAX_S,
+    _SUM_P,
+    _rows,
     contention_risk,
     place,
     score_node,
@@ -188,8 +190,10 @@ def test_node_state_json_roundtrip():
     node.add("w2", ResourceSpec(4, 8), _profile(network=(2, 6)))
     clone = NodeState.from_json(node.to_json())
     assert clone.to_json() == node.to_json()
-    assert clone.sum_pressure(SharedResource.DISK) == 4
-    assert clone.max_sensitivity(SharedResource.NETWORK) == 6
+    # summed pressure, then max sensitivity, per resource: llc, membw, disk, network
+    row = _rows([clone])[0]
+    assert row[_SUM_P].tolist() == [3, 0, 4, 2]
+    assert row[_MAX_S].tolist() == [2, 0, 1, 6]
 
 
 def test_schedule_config_validation():

@@ -122,7 +122,9 @@ def cmd_train(args) -> int:
 
 def cmd_calibrate(args) -> int:
     out = _out_dir(args)
-    tracks = stress_reference_tracks(NodeConstants())
+    constants = (WorkloadSet.load(args.workloads).constants if args.workloads
+                 else NodeConstants())
+    tracks = stress_reference_tracks(constants)
     write_json(out / "reference_tracks.json", tracks.to_json())
     print(f"wrote {out / 'reference_tracks.json'}: {len(tracks.levels)} stress levels")
     return 0
@@ -420,6 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", parents=[common],
                        help="write the stress reference tracks sidecar")
+    p.add_argument("--workloads", help="calibrate the nodes of this workload set JSON "
+                                       "(default: default nodes)")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("plan", parents=[common],

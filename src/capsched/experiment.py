@@ -105,13 +105,14 @@ class ExperimentConfig(JsonRecord):
     def __post_init__(self) -> None:
         if self.train_count + self.val_count != self.workload_count:
             raise ValueError("train_count + val_count must equal workload_count")
-        if self.train_count < 2 or self.val_count < 1:
-            raise ValueError("need at least 2 training and 1 validation workload")
         if self.k < 1 or self.k > self.train_count:
             raise ValueError("k must be in [1, train_count]")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
-        for name, low in (("trials", 1), ("tenants_per_trial", 1), ("mlp_epochs", 1),
+        # train_count >= 3 leaves every Lasso cross-validation fold two
+        # training samples.
+        for name, low in (("train_count", 3), ("val_count", 1),
+                          ("trials", 1), ("tenants_per_trial", 1), ("mlp_epochs", 1),
                           ("archetype_count", 2), ("noise_sigma", 0), ("surface_noise", 0),
                           ("footprint_noise", 0), ("probe_noise", 0),
                           ("cost_weight_cores", 0), ("cost_weight_memory", 0)):

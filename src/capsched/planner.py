@@ -4,7 +4,8 @@ The planning pipeline turns one observation of a workload's system
 indexes into a concrete resource recommendation:
 
 1. Lasso regression over (index vector, measured TPS) pairs picks the
-   indexes that actually carry performance signal.
+   indexes that actually carry performance signal. The Lasso is solved
+   exactly, one homotopy path per cross-validation fold.
 2. K-means groups the training workloads' scaling surfaces; each
    cluster's centroid surface is the representative for its members.
 3. An MLP maps selected, standardized index features, observed at the
@@ -13,8 +14,8 @@ indexes into a concrete resource recommendation:
    grid config meeting a scale-up target or a scale-down tolerance.
 
 Everything is deterministic given explicit seeds and serializes to a
-single JSON bundle. Training at desk scale takes a few seconds, nearly
-all of it in the Lasso cross-validation.
+single JSON bundle. Training at desk scale takes well under a second,
+most of it in the MLP's full-batch epochs.
 """
 
 from __future__ import annotations
@@ -62,10 +63,12 @@ DEFAULT_K = 20
 DEFAULT_EPSILON = 0.05
 DEFAULT_COST_WEIGHTS = (1.0, 0.25)
 
-# Convergence tolerance and sweep cap of the Lasso coordinate descent,
-# and the number of cross-validation folds that choose its lambda.
-LASSO_TOL = 1e-6
-LASSO_MAX_SWEEPS = 100000
+# A Lasso path over the 15 indexes has about 30 knots; the cap catches
+# a path that cycles. A column whose part outside the active columns
+# is below this fraction of its own norm counts as their combination.
+LASSO_MAX_KNOTS = 1000
+_DEPENDENT_TOL = 1e-9
+# Cross-validation folds that choose the Lasso lambda.
 CV_FOLDS = 5
 
 # Lloyd's loop takes about 20 steps on the worlds studied; the cap catches a bug.
@@ -100,55 +103,99 @@ def _as_matrix(samples) -> tuple[np.ndarray, np.ndarray]:
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mean = x.mean(axis=0)
     std = x.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
+    # A constant column standardizes to exact zeros, whatever rounding
+    # is left in its mean and std.
+    constant = np.all(x == x[0], axis=0)
+    mean = np.where(constant, x[0], mean)
+    std = np.where(constant, 1.0, std)
     return (x - mean) / std, mean, std
 
 
-def _soft_threshold(value: float, threshold: float) -> float:
-    if value > threshold:
-        return value - threshold
-    if value < -threshold:
-        return value + threshold
-    return 0.0
+def _gram(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Lasso statistics of one sample: G = XsᵀXs/n and c = Xsᵀyc/n.
 
-
-def _coordinate_descent(xs: np.ndarray, yc: np.ndarray, lam: float) -> np.ndarray:
-    """Lasso on standardized columns: min (1/2n)||yc - xs b||^2 + lam ||b||_1.
-
-    With unit-variance columns each coordinate update is a plain soft
-    threshold. Stops when no coefficient moves more than LASSO_TOL
-    relative to the largest coefficient, when a full sweep no longer
-    lowers the objective by a LASSO_TOL fraction, or after
-    LASSO_MAX_SWEEPS sweeps. The objective check matters on
-    underdetermined data, where coefficients can drift along a
-    near-null space long after the fit itself has converged.
+    Xs is x standardized and yc is y centred; the mean, std and y mean
+    come back with them, to map new rows onto the same scale.
     """
-    n, p = xs.shape
-    col_scale = (xs * xs).sum(axis=0) / n  # 1.0 for non-constant columns
-    beta = np.zeros(p)
-    residual = yc.copy()
-    obj0 = 0.5 * float(yc @ yc) / n
-    prev_obj = obj0
-    for _ in range(LASSO_MAX_SWEEPS):
-        max_step = 0.0
-        for j in range(p):
-            if col_scale[j] == 0.0:
-                continue
-            old = beta[j]
-            rho = (xs[:, j] @ residual) / n + col_scale[j] * old
-            new = _soft_threshold(rho, lam) / col_scale[j]
-            if new != old:
-                residual += xs[:, j] * (old - new)
-                beta[j] = new
-                max_step = max(max_step, abs(new - old))
-        scale = max(1.0, float(np.max(np.abs(beta))) if p else 1.0)
-        if max_step <= LASSO_TOL * scale:
-            break
-        obj = 0.5 * float(residual @ residual) / n + lam * float(np.abs(beta).sum())
-        if prev_obj - obj <= LASSO_TOL * max(1.0, obj0):
-            break
-        prev_obj = obj
-    return beta
+    xs, mean, std = _standardize(x)
+    y_mean = y.mean()
+    n = len(y)
+    return xs.T @ xs / n, xs.T @ (y - y_mean) / n, mean, std, y_mean
+
+
+def _lasso_path(gram: np.ndarray, corr: np.ndarray, lams) -> np.ndarray:
+    """Exact Lasso coefficients at every lam of lams, one row each.
+
+    Minimizes ½bᵀGb − cᵀb + lam·‖b‖₁, which on G = XsᵀXs/n and
+    c = Xsᵀyc/n is (1/2n)‖yc − Xs·b‖² + lam·‖b‖₁ up to a constant. This
+    is the homotopy (LARS-Lasso) method: from lam_max = max|c|, where b
+    is zero, the solution is linear in lam between knots, each knot a
+    column joining the active set (its correlation c − Gb reaches ±lam)
+    or leaving it (its coefficient reaches zero). Every segment solves
+    its active block afresh, and the rows of lams it spans are read off
+    that linear piece.
+
+    A column with a zero on G's diagonal never joins, nor does one that
+    is a combination of the active columns, so when n < p the active set
+    stops growing at the rank of the centred data and lam = 0 ends at
+    that set's least-squares fit. Events within 1e-12·lam_max of one
+    another count as one, and the lowest column index goes first.
+    Raises RuntimeError after LASSO_MAX_KNOTS knots, which only a
+    cycling path reaches.
+    """
+    lams = np.asarray(lams, dtype=float)
+    p = len(corr)
+    out = np.zeros((len(lams), p))
+    diag = np.diag(gram)
+    lam = float(np.max(np.abs(corr), initial=0.0))
+    lam_end = float(lams.min())
+    pending = lams < lam
+    if not pending.any():
+        return out
+    tie = 1e-12 * lam
+    on = np.zeros(p, dtype=bool)
+    signs = np.zeros(p)
+    for _ in range(LASSO_MAX_KNOTS):
+        active = np.flatnonzero(on)
+        rows = gram[active]
+        # On this segment b_A(l) = u − l·d, and W = G_AA⁻¹·G_A writes
+        # every column in terms of the active ones.
+        solved = np.linalg.solve(rows[:, active], np.column_stack(
+            (corr[active], signs[active], rows)))
+        u, d, w = solved[:, 0], solved[:, 1], solved[:, 2:]
+        beta = u - lam * d
+        residual = corr - beta @ rows
+        slope = signs[active] @ w
+        # Zero for an active column, a zero-variance one, or a combination
+        # of the active ones: none of these can join.
+        outside = diag - np.einsum("ij,ij->j", rows, w)
+        # As lam falls by t, an inactive correlation r moves by −t·slope
+        # and reaches +lam at t = (lam − r)/(1 − slope), −lam at
+        # t = (lam + r)/(1 + slope); an active b moves by t·d and
+        # reaches zero at t = −b/d.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(slope < 1, np.maximum(lam - residual, 0) / (1 - slope), np.inf)
+            down = np.where(slope > -1, np.maximum(lam + residual, 0) / (1 + slope),
+                            np.inf)
+            drop = np.where(signs[active] * d < 0,
+                            np.maximum(signs[active] * beta, 0) / np.abs(d), np.inf)
+        event = np.where(outside > _DEPENDENT_TOL * diag, np.minimum(up, down), np.inf)
+        event[active] = drop
+        step = float(event.min())
+        low = max(lam - step, lam_end)
+        take = pending & (lams >= low)
+        out[np.ix_(take, active)] = u - np.outer(lams[take], d)
+        pending &= ~take
+        if low == lam_end:
+            return out
+        lam = low
+        j = int(np.flatnonzero(event <= step + tie)[0])
+        if on[j]:
+            on[j], signs[j] = False, 0.0
+        else:
+            on[j], signs[j] = True, 1.0 if up[j] <= down[j] else -1.0
+    raise RuntimeError(f"Lasso path did not reach lambda={lam_end:g} "
+                       f"in {LASSO_MAX_KNOTS} knots")
 
 
 @dataclass(frozen=True)
@@ -187,9 +234,8 @@ def select_features(samples, lam: float) -> FeatureSelection:
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     x, y = _as_matrix(samples)
-    xs, _, _ = _standardize(x)
-    yc = y - y.mean()
-    beta = _coordinate_descent(xs, yc, lam)
+    gram, corr, _, _, _ = _gram(x, y)
+    [beta] = _lasso_path(gram, corr, [lam])
     selected = tuple(int(j) for j in range(len(beta)) if abs(beta[j]) > 1e-9)
     return FeatureSelection(lam=float(lam), weights=tuple(float(b) for b in beta),
                             selected=selected)
@@ -198,7 +244,10 @@ def select_features(samples, lam: float) -> FeatureSelection:
 def select_features_cv(samples, rng_seed: int) -> FeatureSelection:
     """Pick lambda by CV_FOLDS-fold cross-validation, then refit on all samples.
 
-    Ties in validation error go to the larger lambda (sparser model).
+    Each fold fits one Lasso path over the whole grid. Ties in
+    validation error go to the larger lambda (sparser model). Raises
+    ValueError when no fold has both a validation sample and two
+    training samples.
     """
     x, y = _as_matrix(samples)
     n = len(y)
@@ -208,19 +257,21 @@ def select_features_cv(samples, rng_seed: int) -> FeatureSelection:
     fold_of = np.zeros(n, dtype=int)
     for pos, idx in enumerate(order):
         fold_of[idx] = pos % folds
+    grid = lambda_grid()
+    errors = []
+    for f in range(folds):
+        train, val = fold_of != f, fold_of == f
+        if not val.any() or train.sum() < 2:
+            continue
+        gram, corr, mean, std, y_mean = _gram(x[train], y[train])
+        betas = _lasso_path(gram, corr, grid)
+        pred = ((x[val] - mean) / std) @ betas.T + y_mean
+        errors.append(np.mean((pred - y[val][:, None]) ** 2, axis=0))
+    if not errors:
+        raise ValueError(f"cross-validation needs at least 3 samples, got {n}")
     best_lam, best_mse = None, None
-    for lam in lambda_grid():
-        errors = []
-        for f in range(folds):
-            train, val = fold_of != f, fold_of == f
-            if not val.any() or train.sum() < 2:
-                continue
-            xs, mean, std = _standardize(x[train])
-            yc_mean = y[train].mean()
-            beta = _coordinate_descent(xs, y[train] - yc_mean, float(lam))
-            pred = ((x[val] - mean) / std) @ beta + yc_mean
-            errors.append(float(np.mean((pred - y[val]) ** 2)))
-        mse = float(np.mean(errors))
+    for lam, mse in zip(grid, np.mean(errors, axis=0)):
+        mse = float(mse)
         if best_mse is None or mse < best_mse - 1e-12 or (
                 abs(mse - best_mse) <= 1e-12 and lam > best_lam):
             best_lam, best_mse = float(lam), mse

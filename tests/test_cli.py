@@ -11,9 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from capsched import cli
 from capsched.cli import main
-from capsched.core import canonical_json
+from capsched.core import NodeConstants, canonical_json
 from capsched.experiment import ExperimentConfig, build_workload_set
-from capsched.workload_synth import observe_indexes
+from capsched.workload_synth import WorkloadSet, observe_indexes
 
 TINY = ExperimentConfig(rng_seed=3, archetype_count=4, workload_count=10,
                         train_count=8, val_count=2, k=4, trials=2,
@@ -95,6 +95,28 @@ def test_estimate_writes_profiles(workdir):
     for record in profiles["profiles"]:
         for resource in ("llc", "membw", "disk", "network"):
             assert resource in record["profile"]
+
+
+def test_calibrate_reads_the_nodes_of_a_workload_set(workdir, tmp_path):
+    # Tracks calibrated on an 8-way world are the ones estimate accepts there.
+    w8 = tmp_path / "w8.json"
+    WorkloadSet.generate(archetype_count=4, workload_count=10, seed=3,
+                         constants=NodeConstants(llc_ways=8)).save(w8)
+    rc, stdout, _ = _run("calibrate", "--workloads", str(w8), "--out", str(tmp_path / "cal"))
+    assert (rc, stdout) == (0, f"wrote {tmp_path / 'cal' / 'reference_tracks.json'}: "
+                               "21 stress levels\n")
+    tracks = json.loads((tmp_path / "cal" / "reference_tracks.json").read_text())
+    assert {len(row["kmps"]) for row in tracks["tracks"]} == {8}
+    rc, _, stderr = _run("estimate", "--config", str(workdir / "config.json"),
+                         "--workloads", str(w8), "--out", str(tmp_path / "est"),
+                         "--tracks", str(tmp_path / "cal" / "reference_tracks.json"))
+    assert (rc, stderr) == (0, "")
+    # On a world of default nodes the flag changes nothing.
+    rc, _, _ = _run("calibrate", "--workloads", str(workdir / "gen" / "workloads.json"),
+                    "--out", str(tmp_path / "default"))
+    assert rc == 0
+    assert ((tmp_path / "default" / "reference_tracks.json").read_bytes()
+            == (workdir / "calibrate" / "reference_tracks.json").read_bytes())
 
 
 def test_plan_recommends_spec(workdir):
@@ -395,6 +417,15 @@ def test_gen_names_the_config_file_in_range_and_type_errors(override, message, t
     rc, _, stderr = _run("gen", "--config", str(path), "--out", str(tmp_path / "o"))
     assert (rc, stderr) == (1, f"error: {path}: {message}\n")
     assert not (tmp_path / "o" / "workloads.json").exists()
+
+
+def test_train_refuses_a_training_split_too_small_to_cross_validate(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"train_count": 2, "val_count": 2, "workload_count": 4,
+                                "k": 2, "archetype_count": 2}))
+    rc, _, stderr = _run("train", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert (rc, stderr) == (1, f"error: {path}: train_count must be >= 3, got 2\n")
+    assert not (tmp_path / "o" / "bundle.json").exists()
 
 
 def _request_row(cores=1, pressure=0):

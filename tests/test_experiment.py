@@ -74,6 +74,12 @@ def test_train_bundle_is_deterministic(small_config, small_wset, small_bundle):
     assert len(small_bundle.validation_workload_ids) == small_config.val_count
 
 
+def test_default_training_keeps_the_readme_selection(default_bundle):
+    # README's quick start prints this support for `capsched train`.
+    assert default_bundle.selection.lam == 1.0
+    assert default_bundle.selection.selected == (0, 1, 5, 6, 7, 8, 9, 10, 11, 13, 14)
+
+
 def test_bundle_predicts_cluster_centroids(small_config, small_wset, small_bundle):
     from capsched.workload_synth import observe_indexes
 

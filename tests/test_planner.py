@@ -82,6 +82,120 @@ def test_lasso_large_lambda_empties_support():
         select_features(_orthonormal_samples(beta_true), -0.5)
 
 
+def _random_problem(seed, n, p=15, collinear=False, constant=False, duplicate=False):
+    """Raw design and targets: scaled, shifted normal columns, sparse truth."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p)) * rng.uniform(0.5, 20.0, p) + rng.uniform(0.0, 50.0, p)
+    if collinear:
+        x[:, 3] = x[:, 1] + 2.0 * x[:, 2]
+        x[:, 9] = -0.5 * x[:, 4]
+    if duplicate:
+        x[:, 11] = x[:, 6]
+    if constant:
+        x[:, 7] = 0.1  # its mean and std round away from 0.1 and 0
+    beta = rng.normal(size=p) * (rng.random(p) < 0.6)
+    y = x @ beta + rng.normal(scale=2.0, size=n) + 100.0
+    return x, y
+
+
+_PATH_LAMS = np.append(lambda_grid(), 0.0)
+
+
+@pytest.mark.parametrize("shape", [
+    dict(n=40), dict(n=40, collinear=True), dict(n=40, constant=True, duplicate=True),
+    dict(n=8), dict(n=10, collinear=True, constant=True), dict(n=14, duplicate=True),
+])
+def test_lasso_path_meets_kkt_conditions(shape):
+    for seed in range(10):
+        x, y = _random_problem(seed, **shape)
+        gram, corr, *_ = planner._gram(x, y)
+        path = planner._lasso_path(gram, corr, _PATH_LAMS)
+        for lam, beta in zip(_PATH_LAMS, path):
+            residual = corr - gram @ beta
+            assert np.all(np.abs(residual) <= lam + 1e-9)
+            on = beta != 0
+            assert np.allclose(residual[on], lam * np.sign(beta[on]), rtol=0, atol=1e-9)
+            # The active columns stay independent, so at most rank-many.
+            assert np.count_nonzero(beta) <= min(len(y) - 1, len(beta))
+        if shape.get("constant"):
+            assert not path[:, 7].any()
+        if shape.get("duplicate"):
+            # Twin columns tie at every event; the lower index takes it.
+            assert not path[:, 11].any()
+
+
+def _reference_cd(gram, corr, lam):
+    """Gram-form coordinate descent that stops only when no coefficient moves."""
+    beta = np.zeros(len(corr))
+    for _ in range(200_000):
+        step = 0.0
+        for j in np.flatnonzero(np.diag(gram)):
+            rho = corr[j] - gram[j] @ beta + gram[j, j] * beta[j]
+            new = np.sign(rho) * max(abs(rho) - lam, 0.0) / gram[j, j]
+            step = max(step, abs(new - beta[j]))
+            beta[j] = new
+        if step <= 1e-13:
+            return beta
+    raise AssertionError(f"reference coordinate descent did not converge at {lam}")
+
+
+@pytest.mark.parametrize("seed, n, p, lams", [
+    (0, 30, 8, lambda_grid()), (1, 30, 8, lambda_grid()), (2, 60, 15, lambda_grid()),
+    (3, 12, 15, lambda_grid()[6:]), (4, 12, 15, lambda_grid()[6:]),
+])
+def test_lasso_path_matches_converged_coordinate_descent(seed, n, p, lams):
+    x, y = _random_problem(seed, n, p)
+    xs, _, _ = planner._standardize(x)
+    yc = y - y.mean()
+    gram, corr, *_ = planner._gram(x, y)
+    for lam, beta in zip(lams, planner._lasso_path(gram, corr, lams)):
+        reference = _reference_cd(gram, corr, lam)
+
+        def objective(b):
+            return 0.5 * np.sum((yc - xs @ b) ** 2) / n + lam * np.abs(b).sum()
+
+        assert objective(beta) == pytest.approx(objective(reference), rel=1e-9, abs=0)
+        assert np.array_equal(np.abs(beta) > 1e-9, np.abs(reference) > 1e-9)
+
+
+def test_lasso_path_is_empty_from_lambda_max():
+    x, y = _random_problem(5, 40)
+    gram, corr, *_ = planner._gram(x, y)
+    lam_max = np.abs(corr).max()
+    path = planner._lasso_path(gram, corr, [2 * lam_max, lam_max, 0.999 * lam_max])
+    assert not path[:2].any()
+    assert np.flatnonzero(path[2]).tolist() == [int(np.argmax(np.abs(corr)))]
+    assert not select_features(_orthonormal_samples(np.zeros(15)), 0.0).selected
+
+
+def test_lasso_path_raises_at_its_knot_cap(monkeypatch):
+    x, y = _random_problem(6, 40)
+    gram, corr, *_ = planner._gram(x, y)
+    monkeypatch.setattr(planner, "LASSO_MAX_KNOTS", 2)
+    with pytest.raises(RuntimeError, match="did not reach lambda=0 in 2 knots"):
+        planner._lasso_path(gram, corr, [0.0])
+
+
+def test_lasso_without_penalty_interpolates_when_samples_are_few():
+    # n < p: the path stops growing at rank n - 1 and lam = 0 fits exactly.
+    x, y = _random_problem(7, 6)
+    samples = [(SystemIndexVector.from_array(np.abs(row)), float(t))
+               for row, t in zip(x, y)]
+    sel = select_features(samples, 0.0)
+    assert sel == select_features(samples, 0.0)
+    assert len(sel.selected) == 5
+    xs, _, _ = planner._standardize(np.abs(x))
+    fit = xs @ np.array(sel.weights) + y.mean()
+    assert np.allclose(fit, y, rtol=0, atol=1e-8)
+
+
+def test_cv_refuses_samples_that_no_fold_can_validate():
+    samples = _orthonormal_samples(np.eye(15)[0])
+    with pytest.raises(ValueError, match="at least 3 samples, got 2"):
+        select_features_cv(samples[:2], rng_seed=0)
+    assert select_features_cv(samples[:3], rng_seed=0).lam in lambda_grid()
+
+
 def test_cv_selection_is_deterministic_and_on_grid():
     rng = np.random.default_rng(5)
     beta_true = np.zeros(15)

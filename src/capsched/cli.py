@@ -301,7 +301,10 @@ def cmd_simulate(args) -> int:
             tenants[wid] = (wid, node_id, spec, profile)
     if not tenants:
         raise ValueError(f"{args.placements}: placements file lists no placements")
-    report = simulate_colocated(list(tenants.values()), cluster)
+    try:
+        report = simulate_colocated(list(tenants.values()), cluster)
+    except ValueError as exc:
+        raise ValueError(f"{args.placements}: {exc}") from None
     write_json(out / "simulation.json",
                {"schema": "simulation-report/v1", **report.to_json()})
     _write_csv(out / "simulation.csv", (e.to_json() for e in report.entries))

@@ -81,10 +81,8 @@ class NodeState:
             self._count(profile)
 
     def _count(self, profile: InterferenceProfile) -> None:
-        for i, resource in enumerate(SharedResource):
-            levels = profile.get(resource)
-            self._sum_p[i] += levels.pressure
-            self._max_s[i] = max(self._max_s[i], levels.sensitivity)
+        self._sum_p = [a + b for a, b in zip(self._sum_p, profile.pressures)]
+        self._max_s = list(map(max, self._max_s, profile.sensitivities))
 
     @property
     def free_cores(self) -> int:
@@ -186,9 +184,8 @@ def _risk(rows: np.ndarray, incoming: InterferenceProfile, scaler: float) -> np.
     whose risk is not finite.
     """
     _check_scaler(scaler)
-    levels = [incoming.get(resource) for resource in SharedResource]
-    sum_p = rows[:, _SUM_P] + [ps.pressure for ps in levels]
-    max_s = np.maximum(rows[:, _MAX_S], [ps.sensitivity for ps in levels])
+    sum_p = rows[:, _SUM_P] + incoming.pressures
+    max_s = np.maximum(rows[:, _MAX_S], incoming.sensitivities)
     # Table sizes are powers of two, so the cache sees few of them.
     table = _powers(scaler, min(1 << max(6, int(sum_p.max()).bit_length()), _TABLE_SIZE))
     beyond = sum_p >= len(table)

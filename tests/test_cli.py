@@ -693,6 +693,23 @@ def test_simulate_names_the_line_placing_a_workload_twice_or_off_the_inventory(
     assert (rc, stderr) == (1, f"error: {placements}: line 2: {message}\n")
 
 
+def test_simulate_names_the_placements_file_and_the_overload(workdir, tmp_path):
+    rows = [{**_request_row(cores=60), "workload_id": wid} for wid in ("a", "b")]
+    for row in rows:
+        row["spec"]["memory_gb"] = 8
+    requests = tmp_path / "requests.json"
+    requests.write_text(json.dumps({"requests": rows}))
+    placements = tmp_path / "placements.jsonl"
+    placements.write_text('{"workload_id": "a", "node_id": 0}\n'
+                          '{"workload_id": "b", "node_id": 0}\n')
+    rc, _, stderr = _run("simulate", "--config", str(workdir / "config.json"),
+                         "--out", str(tmp_path / "out"), "--placements", str(placements),
+                         "--requests", str(requests))
+    assert (rc, stderr) == (1, f"error: {placements}: node 0 is overcommitted: "
+                               "120 of 96 cores, 16 of 256 GB\n")
+    assert not (tmp_path / "out" / "simulation.json").exists()
+
+
 @pytest.mark.parametrize("text", ["", "\n\n"])
 def test_placements_file_without_placements_exits_1_naming_it(text, workdir, tmp_path):
     placements = tmp_path / "placements.jsonl"

@@ -7,6 +7,7 @@ from capsched.core import (
     InterferenceProfile,
     PressureSensitivity,
     ResourceSpec,
+    SharedResource,
 )
 from capsched.simulator import (
     ClusterSpec,
@@ -193,7 +194,7 @@ def test_report_serialization():
     assert obj["p_sys"] == report.p_sys
 
 
-def _oracle_sds(tenants, cluster):
+def _oracle_sds(tenants, cluster, factor=degradation_factor):
     # The O(k^2) neighbour loop: every tenant sums its neighbours' pressure.
     sds = []
     for workload_id, node_id, _, profile in tenants:
@@ -202,9 +203,9 @@ def _oracle_sds(tenants, cluster):
             external = sum(getattr(other, attr).pressure
                            for other_id, other_node, _, other in tenants
                            if other_node == node_id and other_id != workload_id)
-            sd *= degradation_factor(external, getattr(profile, attr).sensitivity,
-                                     cluster.gamma, cluster.pressure_threshold,
-                                     cluster.constants.levels)
+            sd *= factor(external, getattr(profile, attr).sensitivity,
+                         cluster.gamma, cluster.pressure_threshold,
+                         cluster.constants.levels)
         sds.append(sd)
     return sds
 
@@ -225,3 +226,148 @@ def test_simulate_matches_the_neighbour_loop_bit_for_bit():
         assert [e.sd for e in report.entries] == want
         assert [e.workload_id for e in report.entries] == [t[0] for t in tenants]
         assert report.p_sys == sum(want)
+
+
+def _python_factor(pressure, sensitivity, gamma, theta, levels):
+    # The formula in scalar Python floats, in the simulator's operation order.
+    excess = max(0.0, pressure - theta)
+    return 1.0 / (1.0 + gamma * sensitivity * excess / levels ** 2)
+
+
+def _random_tenants(rng, count, nodes, high, ids=lambda i: i):
+    return [(ids(i), int(rng.integers(0, nodes)), ResourceSpec(1, 1),
+             _profile(*[(int(p), int(s)) for p, s in rng.integers(0, high + 1, size=(4, 2))]))
+            for i in range(count)]
+
+
+def _assert_matches_the_oracles(tenants, cluster):
+    report = simulate_colocated(tenants, cluster)
+    got = [e.sd for e in report.entries]
+    want = _oracle_sds(tenants, cluster)
+    assert got == want
+    assert got == _oracle_sds(tenants, cluster, _python_factor)
+    assert [(e.workload_id, e.node_id) for e in report.entries] == [t[:2] for t in tenants]
+    assert report.p_sys == sum(want)
+    worst, best = min(want), max(want)
+    assert report.unfairness == (best - worst) / best
+    return report
+
+
+def test_crowded_nodes_match_the_oracles():
+    rng = np.random.default_rng(60)
+    for nodes in (1, 3):
+        tenants = [(wid, i % nodes, spec, profile) for i, (wid, _, spec, profile)
+                   in enumerate(_random_tenants(rng, 60 * nodes, nodes, 20))]
+        _assert_matches_the_oracles(tenants, ClusterSpec(nodes=nodes, node_cores=200,
+                                                         node_memory_gb=200))
+
+
+def test_levels_up_to_the_cap_sum_exactly_in_int64():
+    top = PressureSensitivity.MAX
+    rng = np.random.default_rng(31)
+    tenants = [(i, i % 2, ResourceSpec(1, 1),
+                _profile(*[(int(p), int(s)) for p, s in
+                           rng.integers(top - 3, top + 1, size=(4, 2))]))
+               for i in range(120)]
+    cluster = ClusterSpec(nodes=2, node_cores=100, node_memory_gb=100)
+    report = _assert_matches_the_oracles(tenants, cluster)
+    # 59 neighbours near 2**31 sum past 2**36, still exact as floats.
+    assert all(0.0 < e.sd < 1.0 for e in report.entries)
+
+
+def test_theta_equal_to_an_external_pressure_leaves_no_excess():
+    rng = np.random.default_rng(5)
+    tenants = _random_tenants(rng, 12, 2, 10)
+    own = tenants[0][3].membw.pressure
+    external = sum(t[3].membw.pressure for t in tenants
+                   if t[1] == tenants[0][1]) - own
+    cluster = ClusterSpec(nodes=2, theta=float(external))
+    _assert_matches_the_oracles(tenants, cluster)
+    assert degradation_factor(np.array([external]), np.array([7]), cluster.gamma,
+                              cluster.theta, cluster.constants.levels).tolist() == [1.0]
+
+
+def test_single_tenant_nodes_keep_slowdown_one():
+    rng = np.random.default_rng(1)
+    tenants = _random_tenants(rng, 5, 5, 20)
+    tenants = [(wid, i, spec, profile) for i, (wid, _, spec, profile) in enumerate(tenants)]
+    report = _assert_matches_the_oracles(tenants, ClusterSpec(nodes=6))
+    assert [e.sd for e in report.entries] == [1.0] * 5
+
+
+def test_int_and_str_workload_ids_mix():
+    rng = np.random.default_rng(8)
+    tenants = _random_tenants(rng, 30, 2, 20, ids=lambda i: i if i % 3 else f"{i}")
+    report = _assert_matches_the_oracles(tenants, ClusterSpec(nodes=2))
+    assert [type(e.workload_id) for e in report.entries] == [type(t[0]) for t in tenants]
+
+
+def test_degradation_factor_is_elementwise_and_scalar_calls_return_floats():
+    rng = np.random.default_rng(2)
+    pressure = rng.integers(0, 60, size=(50, 4))
+    sensitivity = rng.integers(0, 21, size=(50, 4))
+    got = degradation_factor(pressure, sensitivity, 0.7, 5.5, 20)
+    assert got.shape == (50, 4)
+    assert got.tolist() == [[_python_factor(int(p), int(s), 0.7, 5.5, 20)
+                             for p, s in zip(prow, srow)]
+                            for prow, srow in zip(pressure, sensitivity)]
+    scalar = degradation_factor(15, 10, 0.5, 5, 20)
+    assert type(scalar) is float and scalar == _python_factor(15, 10, 0.5, 5, 20)
+    with pytest.raises(ValueError):
+        degradation_factor(np.array([1, -1]), np.array([1, 1]), 0.5, 5, 20)
+
+
+def test_the_first_tenant_on_an_unknown_node_is_named():
+    tenants = [("a", 1, SPEC, _profile()), ("b", 5, SPEC, _profile()),
+               ("c", -1, SPEC, _profile())]
+    with pytest.raises(ValueError, match=r"^unknown node 5 for workload 'b'$"):
+        simulate_colocated(tenants, ClusterSpec(nodes=2))
+    # An unknown node is named even after an overcommitted one.
+    big = ResourceSpec(80, 8)
+    with pytest.raises(ValueError, match=r"^unknown node 2 for workload 7$"):
+        simulate_colocated([(1, 0, big, _profile()), (3, 0, big, _profile()),
+                            (7, 2, SPEC, _profile())], ClusterSpec(nodes=2))
+
+
+def test_the_first_overcommitted_node_in_tenant_order_is_named():
+    big = ResourceSpec(60, 8)
+    fat = ResourceSpec(1, 200)
+    tenants = [("a", 2, SPEC, _profile()), ("b", 1, fat, _profile()),
+               ("c", 0, big, _profile()), ("d", 0, big, _profile()),
+               ("e", 1, fat, _profile())]
+    with pytest.raises(ValueError, match=r"^node 1 is overcommitted: "
+                                         r"2 of 96 cores, 400 of 256 GB$"):
+        simulate_colocated(tenants, ClusterSpec(nodes=3))
+    with pytest.raises(ValueError, match=r"^node 0 is overcommitted: "
+                                         r"120 of 96 cores, 16 of 256 GB$"):
+        simulate_colocated(tenants[2:4], ClusterSpec(nodes=3))
+
+
+@pytest.mark.parametrize("field", ["gamma", "theta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_cluster_spec_rejects_non_finite_constants(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ClusterSpec(**{field: value})
+
+
+def test_compute_metrics_refuses_nan():
+    for sds in ([float("nan")], [1.0, float("nan")], [float("nan"), 1.0]):
+        with pytest.raises(ValueError, match="slowdowns must be positive"):
+            compute_metrics(sds)
+
+
+def test_profile_positional_levels_follow_shared_resource_order():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        profile = _profile(*[(int(p), int(s)) for p, s in rng.integers(0, 99, size=(4, 2))])
+        before = profile.to_json()
+        assert profile.pressures == tuple(profile.get(r).pressure for r in SharedResource)
+        assert profile.sensitivities == tuple(profile.get(r).sensitivity
+                                              for r in SharedResource)
+        assert np.frombuffer(profile.packed_levels, np.int64).tolist() == [
+            *profile.pressures, *profile.sensitivities]
+        assert profile.to_json() == before == {
+            r.value: {"pressure": profile.get(r).pressure,
+                      "sensitivity": profile.get(r).sensitivity} for r in SharedResource}
+        twin = InterferenceProfile.from_json(before)
+        assert twin == profile and hash(twin) == hash(profile)

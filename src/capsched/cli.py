@@ -113,8 +113,10 @@ def cmd_train(args) -> int:
     bundle.save(out / "bundle.json")
     report = evaluate_validation(config, wset, bundle)
     write_json(out / "validation.json", report.to_json())
+    clf = bundle.classifier
     print(f"wrote {out / 'bundle.json'} "
-          f"(k={bundle.clustering.k}, features={list(bundle.selection.selected)})")
+          f"(k={bundle.clustering.k}, features={list(bundle.selection.selected)}, "
+          f"epochs={clf.epochs}, converged={str(clf.converged).lower()})")
     print(f"validation error: mean={report.mean_error:.4f} "
           f"max={report.max_error:.4f}")
     return 0
@@ -387,7 +389,8 @@ def cmd_sweep(args) -> int:
                  csv_columns=["k", "base", "mean_error", "max_error"])
     s = report.summary
     print(f"sweep: {s['points']} points, best k={s['best_k']} "
-          f"base={s['best_base']} mean_error={s['best_mean_error']:.4f}")
+          f"base={s['best_base']} mean_error={s['best_mean_error']:.4f}, "
+          f"{s['capped_fits']} fits capped at {config.mlp_epochs} epochs")
     return 0
 
 
@@ -398,7 +401,8 @@ def cmd_loocv(args) -> int:
     _emit_report(out, "loocv", report)
     s = report.summary
     print(f"loocv: {s['rounds']} rounds, mean={s['mean_error']:.4f} "
-          f"max={s['max_error']:.4f}")
+          f"max={s['max_error']:.4f}, {s['capped_fits']} fits capped at "
+          f"{config.mlp_epochs} epochs")
     return 0
 
 

@@ -105,14 +105,17 @@ def read_json(path):
 
 
 # The JSON types each plain type accepts, and its name in messages; list
-# and dict stand for any JSON list or object. A bool is never a number.
+# and dict stand for any JSON list or object. A bool is only a bool,
+# never an integer or a number, though Python's bool is an int.
 _PLAIN = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-          str: ((str,), "a string"), type(None): ((type(None),), "null"),
-          list: ((list,), "a list"), dict: ((dict,), "a JSON object")}
+          bool: ((bool,), "true or false"), str: ((str,), "a string"),
+          type(None): ((type(None),), "null"), list: ((list,), "a list"),
+          dict: ((dict,), "a JSON object")}
 
 
 def _is(tp, value) -> bool:
-    return tp in _PLAIN and not isinstance(value, bool) and isinstance(value, _PLAIN[tp][0])
+    return (tp in _PLAIN and isinstance(value, bool) == (tp is bool)
+            and isinstance(value, _PLAIN[tp][0]))
 
 
 def _shown(value) -> str:
@@ -138,7 +141,7 @@ def _mismatch(tp, value, where: str) -> ValueError:
 def decode(tp, value, where: str):
     """The value of type tp whose JSON form is value.
 
-    tp is int, float, str, list or dict (any JSON list or object), a
+    tp is int, float, bool, str, list or dict (any JSON list or object), a
     tuple type (from a list), a Literal, a union of plain types such as
     float | None, a class with from_json(obj, where) such as a
     JsonRecord, or a dict of field names to types, which reads those

@@ -202,6 +202,31 @@ def _predict(config: ExperimentConfig, wset: WorkloadSet, bundle: ModelBundle,
                                           config.noise_sigma, wset.constants))
 
 
+@dataclass(frozen=True)
+class _Seen:
+    """A workload as the planner sees it at one base config."""
+
+    indexes: SystemIndexVector
+    tps: float
+    surface: ScalingSurface
+
+
+def _observe(config: ExperimentConfig, wset: WorkloadSet, ids: Sequence[int],
+             base: ResourceSpec) -> dict[int, _Seen]:
+    """Each workload of ids observed at base, with its true TPS there and
+    its ground-truth surface rebased there.
+
+    observe_indexes is deterministic in (workload, spec), so a study
+    observes each workload once and shares the reading across its fits.
+    """
+    seen = {}
+    for i in ids:
+        w = wset.workload_by_id(i)
+        seen[i] = _Seen(observe_indexes(w, base, config.noise_sigma, wset.constants),
+                        tps_at(w, base), w.ground_truth_surface.rebase(base))
+    return seen
+
+
 @dataclass
 class _BaseData:
     """The training side at one base config, shared by every k fitted there."""
@@ -209,36 +234,30 @@ class _BaseData:
     base: ResourceSpec
     train_ids: tuple[int, ...]
     selection: FeatureSelection
-    train_obs: list[SystemIndexVector]
-    train_surfaces: list[ScalingSurface]
+    train: list[_Seen]
 
 
-def _prepare_base(config: ExperimentConfig, wset: WorkloadSet,
-                  train_ids: Sequence[int], base: ResourceSpec) -> _BaseData:
-    train = [wset.workload_by_id(i) for i in train_ids]
-    train_obs = [observe_indexes(w, base, config.noise_sigma, wset.constants)
-                 for w in train]
-    samples = [(obs, tps_at(w, base)) for w, obs in zip(train, train_obs)]
+def _prepare_base(config: ExperimentConfig, train_ids: Sequence[int],
+                  base: ResourceSpec, seen: dict[int, _Seen]) -> _BaseData:
+    train = [seen[i] for i in train_ids]
+    samples = [(s.indexes, s.tps) for s in train]
     selection = select_features_cv(samples, config.rng_seed)
     if not selection.selected:
         # A base where nothing survives shrinkage still needs a model;
         # fall back to the unpenalized fit, which keeps every feature.
         selection = select_features(samples, lam=0.0)
-    return _BaseData(
-        base=base,
-        train_ids=tuple(train_ids),
-        selection=selection,
-        train_obs=train_obs,
-        train_surfaces=[w.ground_truth_surface.rebase(base) for w in train])
+    return _BaseData(base=base, train_ids=tuple(train_ids), selection=selection,
+                     train=train)
 
 
 def _fit(config: ExperimentConfig, wset: WorkloadSet, data: _BaseData, k: int,
          val_ids: Sequence[int]) -> ModelBundle:
     """Cluster the training surfaces into k groups and fit the classifier."""
-    clustering = cluster_surfaces(data.train_surfaces, k, config.rng_seed)
+    clustering = cluster_surfaces([s.surface for s in data.train], k, config.rng_seed)
     classifier = train_classifier(
-        zip(data.train_obs, clustering.assignments), data.base, data.selection,
-        rng_seed=config.rng_seed, n_classes=clustering.k, epochs=config.mlp_epochs)
+        zip([s.indexes for s in data.train], clustering.assignments), data.base,
+        data.selection, rng_seed=config.rng_seed, n_classes=clustering.k,
+        epochs=config.mlp_epochs)
     return ModelBundle(region=wset.region, clustering=clustering, classifier=classifier,
                        training_workload_ids=data.train_ids,
                        validation_workload_ids=tuple(val_ids), seed=config.rng_seed)
@@ -252,7 +271,8 @@ def train_bundle(config: ExperimentConfig, wset: WorkloadSet) -> ModelBundle:
     predicts only for workloads observed there.
     """
     train_ids, val_ids = split_train_val(config)
-    data = _prepare_base(config, wset, train_ids, config.base_spec)
+    base = config.base_spec
+    data = _prepare_base(config, train_ids, base, _observe(config, wset, train_ids, base))
     return _fit(config, wset, data, config.k, val_ids)
 
 
@@ -271,16 +291,21 @@ class ValidationReport:
 def evaluate_validation(config: ExperimentConfig, wset: WorkloadSet,
                         bundle: ModelBundle) -> ValidationReport:
     """Surface prediction error of bundle on its held-out workloads."""
+    return _validate(wset, bundle, _observe(config, wset, bundle.validation_workload_ids,
+                                            bundle.base_spec))
+
+
+def _validate(wset: WorkloadSet, bundle: ModelBundle,
+              seen: dict[int, _Seen]) -> ValidationReport:
+    """evaluate_validation on workloads already observed at the bundle's base."""
     base = bundle.base_spec
     rows = []
     errors = []
     for wid in bundle.validation_workload_ids:
-        w = wset.workload_by_id(wid)
-        predicted = _predict(config, wset, bundle, w)
-        err = surface_error(predicted, w.ground_truth_surface.rebase(base))
+        err = surface_error(bundle.predict(seen[wid].indexes), seen[wid].surface)
         errors.append(err)
         rows.append({"workload_id": wid, "error": err,
-                     "archetype_id": w.archetype_id})
+                     "archetype_id": wset.workload_by_id(wid).archetype_id})
     return ValidationReport(base=base.key, k=bundle.clustering.k,
                             rows=tuple(rows),
                             mean_error=float(np.mean(errors)),
@@ -578,10 +603,11 @@ def run_hyperparam_sweep(config: ExperimentConfig, wset: WorkloadSet,
     """Validation error on wset across cluster counts and base configs.
 
     ks defaults to 2..min(30, training workloads), bases to every spec
-    of the region. The feature selection and observations are computed
+    of the region. The observations and feature selection are computed
     once per base, then every k refits the clustering and classifier.
     Rows carry the per-workload errors so any aggregate can be
-    recomputed.
+    recomputed; the summary counts the classifier fits that stopped at
+    the mlp_epochs cap without converging.
     """
     train_ids, val_ids = split_train_val(config)
     if ks is None:
@@ -589,11 +615,14 @@ def run_hyperparam_sweep(config: ExperimentConfig, wset: WorkloadSet,
     if bases is None:
         bases = wset.region.specs()
     rows = []
+    capped = 0
     for base in bases:
-        data = _prepare_base(config, wset, train_ids, base)
+        seen = _observe(config, wset, train_ids + val_ids, base)
+        data = _prepare_base(config, train_ids, base, seen)
         for k in ks:
             bundle = _fit(config, wset, data, int(k), val_ids)
-            report = evaluate_validation(config, wset, bundle)
+            capped += not bundle.classifier.converged
+            report = _validate(wset, bundle, seen)
             rows.append({
                 "k": int(k),
                 "base": base.key,
@@ -603,22 +632,32 @@ def run_hyperparam_sweep(config: ExperimentConfig, wset: WorkloadSet,
             })
     best = min(rows, key=lambda r: (r["mean_error"], r["k"], r["base"]))
     summary = {"points": len(rows), "best_k": best["k"], "best_base": best["base"],
-               "best_mean_error": best["mean_error"]}
+               "best_mean_error": best["mean_error"], "capped_fits": capped}
     return ScenarioReport(schema="sweep-report/v1", rows=tuple(rows),
                           summary=summary)
 
 
 def run_loocv(config: ExperimentConfig, wset: WorkloadSet) -> ScenarioReport:
-    """Leave-one-out error of the full pipeline over every workload of wset."""
+    """Leave-one-out error of the full pipeline over every workload of wset.
+
+    Every workload is observed once, and each round fits on the
+    readings of all but its held-out one. The summary counts the
+    classifier fits that stopped at the mlp_epochs cap without
+    converging.
+    """
     all_ids = [w.workload_id for w in wset.workloads]
+    base = config.base_spec
+    seen = _observe(config, wset, all_ids, base)
     rows = []
+    capped = 0
     for held in all_ids:
         train_ids = [i for i in all_ids if i != held]
-        data = _prepare_base(config, wset, train_ids, config.base_spec)
+        data = _prepare_base(config, train_ids, base, seen)
         bundle = _fit(config, wset, data, min(config.k, len(train_ids)), [held])
-        rows.extend(evaluate_validation(config, wset, bundle).rows)
+        capped += not bundle.classifier.converged
+        rows.extend(_validate(wset, bundle, seen).rows)
     errs = [r["error"] for r in rows]
     summary = {"rounds": len(rows), "mean_error": float(np.mean(errs)),
-               "max_error": float(np.max(errs))}
+               "max_error": float(np.max(errs)), "capped_fits": capped}
     return ScenarioReport(schema="loocv-report/v1", rows=tuple(rows),
                           summary=summary)

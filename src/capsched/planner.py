@@ -14,8 +14,9 @@ indexes into a concrete resource recommendation:
    grid config meeting a scale-up target or a scale-down tolerance.
 
 Everything is deterministic given explicit seeds and serializes to a
-single JSON bundle. Training at desk scale takes well under a second,
-most of it in the MLP's full-batch epochs.
+single JSON bundle. Training at desk scale takes well under a second:
+the Lasso paths and the MLP's full-batch Adam epochs, which stop once
+the fit classifies every training sample right with a small loss.
 """
 
 from __future__ import annotations
@@ -75,10 +76,19 @@ CV_FOLDS = 5
 KMEANS_MAX_ITER = 300
 
 MLP_HIDDEN = 32
+# The cap on full-batch epochs; the default world's fits stop after
+# about 60, the 550-workload world's after about 370.
 MLP_EPOCHS = 500
-# Full-batch descent needs a step this large to fit 20 classes from
-# 44 samples within the epoch budget; see the classifier tests.
-MLP_STEP = 0.5
+# Adam's learning rate; the moment decays and epsilon are those of
+# Kingma & Ba, "Adam: A Method for Stochastic Optimization" (ICLR 2015).
+MLP_STEP = 0.05
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
+# A fit stops at the first epoch whose weights reach this training
+# accuracy with mean cross-entropy below this loss. A loss of 0.05
+# stopped early enough to miss held-out workloads that 0.01 gets right.
+MLP_TARGET_ACCURACY = 1.0
+MLP_TARGET_LOSS = 0.01
 
 
 def lambda_grid() -> np.ndarray:
@@ -393,26 +403,52 @@ class _Mlp:
         logits = h @ self.w2 + self.b2
         return h, logits
 
-    def train(self, x: np.ndarray, y: np.ndarray, step: float, epochs: int) -> None:
-        n, k = x.shape[0], self.b2.shape[0]
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), y] = 1.0
-        for _ in range(epochs):
+    def train(self, x: np.ndarray, y: np.ndarray, epochs: int) -> tuple[int, bool]:
+        """Fit by full-batch Adam, at most epochs updates.
+
+        Every epoch first checks the current weights: training accuracy
+        at least MLP_TARGET_ACCURACY and mean cross-entropy below
+        MLP_TARGET_LOSS end the fit. Returns the number of updates made
+        and whether the weights left meet that rule. The weights,
+        gradients and both moments each live in one flat buffer, so an
+        update is a few array operations, not a few per weight array.
+        """
+        n = x.shape[0]
+        rows = np.arange(n)
+        arrays = (self.w1, self.b1, self.w2, self.b2)
+        params = np.concatenate([a.ravel() for a in arrays])
+        grads = np.empty_like(params)
+        self.w1, self.b1, self.w2, self.b2 = _views(params, arrays)
+        g_w1, g_b1, g_w2, g_b2 = _views(grads, arrays)
+        mean, square = np.zeros_like(params), np.zeros_like(params)
+        beta1, beta2 = _ADAM_BETAS
+        for epoch in range(epochs + 1):
             h, logits = self._forward(x)
+            hits = np.argmax(logits, axis=1) == y
             logits -= logits.max(axis=1, keepdims=True)
             p = np.exp(logits)
-            p /= p.sum(axis=1, keepdims=True)
-            dz = (p - onehot) / n
-            dw2 = h.T @ dz
-            db2 = dz.sum(axis=0)
-            dh = dz @ self.w2.T
-            da = dh * h * (1.0 - h)
-            dw1 = x.T @ da
-            db1 = da.sum(axis=0)
-            self.w2 -= step * dw2
-            self.b2 -= step * db2
-            self.w1 -= step * dw1
-            self.b1 -= step * db1
+            total = p.sum(axis=1)
+            loss = np.mean(np.log(total) - logits[rows, y])
+            met = bool(loss < MLP_TARGET_LOSS and hits.mean() >= MLP_TARGET_ACCURACY)
+            if met or epoch == epochs:
+                return epoch, met
+            # Softmax cross-entropy gradient, back through the logistic layer.
+            dz = p / total[:, None]
+            dz[rows, y] -= 1.0
+            dz /= n
+            np.matmul(h.T, dz, out=g_w2)
+            dz.sum(axis=0, out=g_b2)
+            da = dz @ self.w2.T
+            da *= h * (1.0 - h)
+            np.matmul(x.T, da, out=g_w1)
+            da.sum(axis=0, out=g_b1)
+            mean *= beta1
+            mean += (1.0 - beta1) * grads
+            square *= beta2
+            square += (1.0 - beta2) * grads * grads
+            t = epoch + 1
+            params -= (MLP_STEP / (1.0 - beta1 ** t)) * mean / (
+                np.sqrt(square / (1.0 - beta2 ** t)) + _ADAM_EPS)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         _, logits = self._forward(x)
@@ -436,12 +472,20 @@ class _Mlp:
         return cls(**arrays)
 
 
+def _views(flat: np.ndarray, like) -> list[np.ndarray]:
+    """Consecutive pieces of flat shaped like the arrays of like, sharing its memory."""
+    pieces = np.split(flat, np.cumsum([a.size for a in like])[:-1])
+    return [piece.reshape(a.shape) for piece, a in zip(pieces, like)]
+
+
 @dataclass(frozen=True)
 class SurfaceClassifier:
     """Maps an index observation at base_spec to a cluster id.
 
     Normalization statistics come from the training set only; only the
-    selected feature positions are used.
+    selected feature positions are used. epochs is the number of Adam
+    updates the fit made, and converged whether its weights meet the
+    stopping rule; a fit that ran out of epochs has converged False.
     """
 
     base_spec: ResourceSpec
@@ -451,6 +495,8 @@ class SurfaceClassifier:
     n_classes: int
     model: _Mlp
     training_accuracy: float
+    epochs: int
+    converged: bool
 
     def _features(self, indexes: SystemIndexVector) -> np.ndarray:
         raw = indexes.as_array()
@@ -472,7 +518,8 @@ class SurfaceClassifier:
         got = decode({"kind": str, "base_spec": ResourceSpec,
                       "selection": FeatureSelection, "mean": tuple[float, ...],
                       "std": tuple[float, ...], "n_classes": int, "model": _Mlp,
-                      "training_accuracy": float}, obj, where)
+                      "training_accuracy": float, "epochs": int,
+                      "converged": bool}, obj, where)
         kind = got.pop("kind")
         if kind != "mlp":
             raise ValueError(f"unknown classifier kind {kind!r}")
@@ -501,7 +548,11 @@ def train_classifier(training, base_spec: ResourceSpec,
                      selection: FeatureSelection, rng_seed: int = 0,
                      n_classes: int | None = None,
                      epochs: int = MLP_EPOCHS) -> SurfaceClassifier:
-    """Fit the MLP cluster-id classifier on selected, standardized features."""
+    """Fit the MLP cluster-id classifier on selected, standardized features.
+
+    epochs caps the fit, which stops earlier once it meets the rule of
+    MLP_TARGET_ACCURACY and MLP_TARGET_LOSS.
+    """
     training = list(training)
     if not training:
         raise ValueError("training set must be non-empty")
@@ -517,12 +568,13 @@ def train_classifier(training, base_spec: ResourceSpec,
     x, mean, std = _standardize(raw[:, list(selection.selected)])
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 17]))
     model = _Mlp.init(x.shape[1], MLP_HIDDEN, k, rng)
-    model.train(x, labels, step=MLP_STEP, epochs=epochs)
+    epochs_run, converged = model.train(x, labels, epochs)
     accuracy = float(np.mean(model.predict(x) == labels))
     return SurfaceClassifier(base_spec=base_spec, selection=selection,
                              mean=tuple(float(v) for v in mean),
                              std=tuple(float(v) for v in std),
-                             n_classes=k, model=model, training_accuracy=accuracy)
+                             n_classes=k, model=model, training_accuracy=accuracy,
+                             epochs=epochs_run, converged=converged)
 
 
 def predict_surface(classifier: SurfaceClassifier, clustering: SurfaceClustering,

@@ -13,6 +13,7 @@ from capsched.workload_synth import observe_indexes
 
 @pytest.mark.parametrize("tp, value, expected", [
     (float, 3, 3.0),
+    (bool, False, False),
     (float | None, None, None),
     (int | str, "w1", "w1"),
     (int | str, 7, 7),
@@ -29,6 +30,7 @@ def test_decode_accepts_json_forms(tp, value, expected):
 @pytest.mark.parametrize("tp, value, message", [
     (int, True, "x needs an integer, got true"),
     (float, False, "x needs a number, got false"),
+    (bool, 1, "x needs true or false, got 1"),
     (int, 2.0, "x needs an integer, got 2.0"),
     (str, None, "x needs a string, got null"),
     (float | None, "high", 'x needs a number or null, got "high"'),

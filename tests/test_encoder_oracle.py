@@ -58,7 +58,8 @@ def _classifier(c):
             "selection": c.selection.to_json(),
             "mean": list(c.mean), "std": list(c.std),
             "n_classes": c.n_classes, "model": c.model.to_json(),
-            "training_accuracy": c.training_accuracy}
+            "training_accuracy": c.training_accuracy,
+            "epochs": c.epochs, "converged": c.converged}
 
 
 def _placement(p):

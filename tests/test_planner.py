@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from capsched import planner
+from capsched import experiment, planner
 from capsched.core import (
     ConfigRegion,
     InfeasibleError,
@@ -26,6 +26,7 @@ from capsched.planner import (
     surface_error,
     train_classifier,
 )
+from capsched.workload_synth import observe_indexes
 
 REGION = ConfigRegion()
 BASE = ResourceSpec(6, 8)
@@ -287,6 +288,81 @@ def test_mlp_fits_separable_clusters():
     assert clf.training_accuracy == 1.0
     for vec, cls in training:
         assert clf.predict(vec) == cls
+
+
+def _rule_terms(clf, training):
+    """Mean cross-entropy and accuracy of clf on training, recomputed."""
+    x = np.stack([clf._features(vec) for vec, _ in training])
+    y = np.array([cls for _, cls in training])
+    m = clf.model
+    logits = 1.0 / (1.0 + np.exp(-(x @ m.w1 + m.b1))) @ m.w2 + m.b2
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return -log_p[np.arange(len(y)), y].mean(), np.mean(logits.argmax(axis=1) == y)
+
+
+def test_converged_fit_stops_at_the_first_epoch_meeting_the_rule():
+    training = _blob_training()
+    clf = train_classifier(training, BASE, _FULL_SELECTION, rng_seed=4)
+    assert clf.converged and 1 < clf.epochs < planner.MLP_EPOCHS
+    loss, accuracy = _rule_terms(clf, training)
+    assert loss < planner.MLP_TARGET_LOSS
+    assert accuracy >= planner.MLP_TARGET_ACCURACY == clf.training_accuracy
+    # Capped one epoch short, the same descent has not met the rule yet;
+    # capped later, it stops where it did.
+    short = train_classifier(training, BASE, _FULL_SELECTION, rng_seed=4,
+                             epochs=clf.epochs - 1)
+    assert (short.epochs, short.converged) == (clf.epochs - 1, False)
+    loss, accuracy = _rule_terms(short, training)
+    assert not (loss < planner.MLP_TARGET_LOSS and accuracy >= planner.MLP_TARGET_ACCURACY)
+    exact = train_classifier(training, BASE, _FULL_SELECTION, rng_seed=4,
+                             epochs=clf.epochs)
+    assert canonical_json(exact.to_json()) == canonical_json(clf.to_json())
+
+
+def test_one_epoch_cap_reports_no_convergence():
+    clf = train_classifier(_blob_training(), BASE, _FULL_SELECTION, rng_seed=4, epochs=1)
+    assert (clf.epochs, clf.converged) == (1, False)
+    assert type(clf).from_json(clf.to_json()).converged is False
+
+
+def test_fits_from_one_seed_are_byte_identical():
+    training = _blob_training()
+    a, b = (train_classifier(training, BASE, _FULL_SELECTION, rng_seed=9)
+            for _ in range(2))
+    for name in ("w1", "b1", "w2", "b2"):
+        assert getattr(a.model, name).tobytes() == getattr(b.model, name).tobytes()
+    assert (a.epochs, a.converged) == (b.epochs, b.converged)
+
+
+def test_loocv_observes_each_workload_once(monkeypatch, default_config, default_wset):
+    observed = []
+
+    def counting(workload, *args, **kwargs):
+        observed.append(workload.workload_id)
+        return observe_indexes(workload, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "observe_indexes", counting)
+    report = experiment.run_loocv(default_config, default_wset)
+    assert len(observed) == len(default_wset.workloads) == 55
+    assert sorted(observed) == sorted(w.workload_id for w in default_wset.workloads)
+    assert report.summary["capped_fits"] == 0
+
+
+def test_loocv_matches_rounds_that_observe_afresh(small_config, small_wset):
+    # The reference observes every round's workloads anew, as each
+    # round once did; the shared readings must give identical rows.
+    ids = [w.workload_id for w in small_wset.workloads]
+    base = small_config.base_spec
+    rows = []
+    for held in ids:
+        train_ids = [i for i in ids if i != held]
+        seen = experiment._observe(small_config, small_wset, train_ids, base)
+        data = experiment._prepare_base(small_config, train_ids, base, seen)
+        bundle = experiment._fit(small_config, small_wset, data, small_config.k, [held])
+        rows.extend(experiment.evaluate_validation(small_config, small_wset, bundle).rows)
+    report = experiment.run_loocv(small_config, small_wset)
+    assert canonical_json(list(report.rows)) == canonical_json(rows)
 
 
 def test_classifier_roundtrip_preserves_predictions():

@@ -13,7 +13,6 @@ from capsched.workload_synth import observe_indexes
 
 @pytest.mark.parametrize("tp, value, expected", [
     (float, 3, 3.0),
-    (bool, False, False),
     (float | None, None, None),
     (int | str, "w1", "w1"),
     (int | str, 7, 7),
@@ -21,6 +20,7 @@ from capsched.workload_synth import observe_indexes
     (tuple[int, float], [1, 2], (1, 2.0)),
     (ResourceSpec, {"cores": 2, "memory_gb": 4, "extra": 0}, ResourceSpec(2, 4)),
     ({"a": list, "b": dict}, {"a": [1], "b": {}, "c": 0}, {"a": [1], "b": {}}),
+    (bool, False, False),
 ])
 def test_decode_accepts_json_forms(tp, value, expected):
     got = decode(tp, value, "x")
@@ -30,7 +30,6 @@ def test_decode_accepts_json_forms(tp, value, expected):
 @pytest.mark.parametrize("tp, value, message", [
     (int, True, "x needs an integer, got true"),
     (float, False, "x needs a number, got false"),
-    (bool, 1, "x needs true or false, got 1"),
     (int, 2.0, "x needs an integer, got 2.0"),
     (str, None, "x needs a string, got null"),
     (float | None, "high", 'x needs a number or null, got "high"'),
@@ -44,6 +43,7 @@ def test_decode_accepts_json_forms(tp, value, expected):
     (float | None, float("inf"), "x needs a finite number, got Infinity"),
     (tuple[float, ...], [1.0, float("-inf")], "x[1] needs a finite number, got -Infinity"),
     (float, 10 ** 400, "x needs a finite number, got " + "1" + "0" * 56 + "..."),
+    (bool, 1, "x needs true or false, got 1"),
 ])
 def test_decode_names_where_the_type_and_the_value(tp, value, message):
     with pytest.raises(ValueError) as info:

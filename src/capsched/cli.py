@@ -181,6 +181,9 @@ def cmd_estimate(args) -> int:
     config = _config_from_args(args)
     out = _out_dir(args)
     wset = WorkloadSet.load(args.workloads)
+    spec = ResourceSpec.parse(args.spec) if args.spec else None
+    if spec:
+        wset.region.require(spec)
     if args.tracks:
         tracks = ReferenceTracks.from_json(read_json(args.tracks), f"{args.tracks}: tracks")
         if tracks.ways != wset.constants.llc_ways:
@@ -190,11 +193,10 @@ def cmd_estimate(args) -> int:
         tracks = stress_reference_tracks(wset.constants)
     records = []
     for w in wset.workloads:
-        spec = ResourceSpec.parse(args.spec) if args.spec else w.origin_spec
-        probe = probe_for(w, spec, wset.constants,
+        at = spec or w.origin_spec
+        probe = probe_for(w, at, wset.constants,
                           noise_sigma=config.probe_noise, seed=w.noise_seed)
-        profile = build_profile(probe, tracks)
-        records.append(request_json(w.workload_id, spec, profile))
+        records.append(request_json(w.workload_id, at, build_profile(probe, tracks)))
     write_json(out / "profiles.json",
                {"schema": "profiles/v1", "profiles": records})
     print(f"wrote {out / 'profiles.json'}: {len(records)} profiles")

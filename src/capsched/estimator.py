@@ -361,16 +361,14 @@ def quantify_rate(probe: SimulatedProbe, resource: SharedResource) -> PressureSe
 
 
 def build_profile(probe: SimulatedProbe,
-                  reference_tracks: ReferenceTracks | None = None) -> InterferenceProfile:
+                  reference_tracks: ReferenceTracks) -> InterferenceProfile:
     """Quantify all four resources, one at a time, and assemble the profile.
 
-    reference_tracks defaults to the calibrated stress tracks of the
-    probe's node constants; a table of another way count is refused
-    before anything is probed.
+    LLC pressure is read off reference_tracks, the calibrated stress
+    tracks of the probe's node constants; a table of another way count
+    is refused before anything is probed.
     """
-    if reference_tracks is None:
-        reference_tracks = stress_reference_tracks(probe.constants)
-    elif reference_tracks.ways != probe.constants.llc_ways:
+    if reference_tracks.ways != probe.constants.llc_ways:
         raise ValueError(f"reference tracks cover {reference_tracks.ways} ways, "
                          f"the probe's node has {probe.constants.llc_ways}")
     return InterferenceProfile(

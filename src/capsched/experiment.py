@@ -21,6 +21,7 @@ from .core import (
     CapacityExhaustedError,
     ConfigRegion,
     InfeasibleError,
+    InterferenceProfile,
     JsonRecord,
     ResourceSpec,
     ScalingSurface,
@@ -29,7 +30,7 @@ from .core import (
     fields_json,
     read_json,
 )
-from .estimator import build_profile, stress_reference_tracks
+from .estimator import ReferenceTracks, build_profile, stress_reference_tracks
 from .planner import (
     DEFAULT_COST_WEIGHTS,
     DEFAULT_EPSILON,
@@ -54,7 +55,7 @@ from .scheduler import (
     ScheduleConfig,
     place,
 )
-from .simulator import ClusterSpec, simulate_colocated
+from .simulator import ClusterSpec, SlowdownReport, simulate_colocated
 from .workload_synth import (
     Workload,
     WorkloadSet,
@@ -107,8 +108,11 @@ class ExperimentConfig(JsonRecord):
             raise ValueError("train_count + val_count must equal workload_count")
         if self.k < 1 or self.k > self.train_count:
             raise ValueError("k must be in [1, train_count]")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
+        if not 0.0 <= self.epsilon < 1.0:
+            raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
+        if not all(f >= 1.0 for f in self.scale_factors):
+            raise ValueError(f"scale_factors must each be >= 1, "
+                             f"got {list(self.scale_factors)}")
         # train_count >= 3 leaves every Lasso cross-validation fold two
         # training samples.
         for name, low in (("train_count", 3), ("val_count", 1),
@@ -467,11 +471,12 @@ def run_scenario2(config: ExperimentConfig, wset: WorkloadSet,
                           summary=summary)
 
 
-def _draw_tenants(config: ExperimentConfig, wset: WorkloadSet,
-                  trial: int) -> list[Workload]:
+def _draw_tenants(config: ExperimentConfig, wset: WorkloadSet, trial: int,
+                  references: ReferenceTracks) -> list[Workload]:
+    """One trial's tenants: instances of wset's archetypes, jittered as
+    wset's workloads are, at origin specs drawn from the config's ranges."""
     rng = np.random.default_rng(
         np.random.SeedSequence([config.rng_seed, 19, trial]))
-    references = stress_reference_tracks(wset.constants)
     # Tenants are instances of the workload set, so the archetype mix is
     # near-uniform: every archetype appears floor(T/A) or ceil(T/A)
     # times. Arrival order, origin specs, and jitter stay random.
@@ -493,89 +498,77 @@ def _draw_tenants(config: ExperimentConfig, wset: WorkloadSet,
                                        config.origin_memory_gb[1] + 1)))
         tenants.append(make_workload(
             archetype, j, noise_seed, origin, wset.region, wset.constants,
-            wset.base_spec, config.surface_noise, config.footprint_noise,
-            references))
+            wset.base_spec, wset.surface_noise, wset.footprint_noise,
+            reference_tracks=references))
     return tenants
-
-
-def _fresh_nodes(config: ExperimentConfig) -> list[NodeState]:
-    cap = ResourceSpec(config.node_cores, config.node_memory_gb)
-    return [NodeState(node_id=i, capacity=cap) for i in range(config.cluster_nodes)]
 
 
 def run_colocation(config: ExperimentConfig, wset: WorkloadSet,
                    bundle: ModelBundle) -> ScenarioReport:
     """Head-to-head cluster trials of the two placement pipelines.
 
-    Per trial, one tenant batch is drawn from wset's archetypes and
-    handed to both arms. The contention-aware arm first right-sizes
-    every tenant within epsilon on the surface the bundle predicts,
-    quantifies its interference profile with probe sweeps at the
-    recommended spec, then places by risk score. The baseline keeps
-    the requested specs and places by least requested capacity. Both
-    deployments run through the same degradation model with
-    ground-truth profiles, on the cluster of the config with wset's
-    node constants.
+    Per trial, one tenant batch is drawn from wset's archetypes, with
+    wset's jitter, and handed to both arms. The contention-aware arm
+    first right-sizes every tenant within epsilon on the surface the
+    bundle predicts, quantifies its interference profile with probe
+    sweeps at the recommended spec, then places by risk score. The
+    baseline keeps the requested specs and places by least requested
+    capacity. Each arm is placed on fresh nodes and simulated by the
+    same routine: the degradation model with ground-truth profiles, on
+    the cluster of the config with wset's node constants.
     """
     references = stress_reference_tracks(wset.constants)
     cluster = replace(config.cluster_spec, constants=wset.constants)
+    capacity = ResourceSpec(config.node_cores, config.node_memory_gb)
+
+    def _deploy(policy: str, ids: Sequence[str],
+                arm: Sequence[tuple[ResourceSpec, InterferenceProfile,
+                                    InterferenceProfile]]) -> SlowdownReport:
+        # arm holds (spec, the profile placement sees, the true profile)
+        # for each tenant of ids; place returns placements in request
+        # order, so each pairs with its tenant by position.
+        nodes = [NodeState(node_id=i, capacity=capacity)
+                 for i in range(config.cluster_nodes)]
+        placements = place([(i, spec, seen) for i, (spec, seen, _) in zip(ids, arm)],
+                           nodes, ScheduleConfig(policy=policy, scaler=config.scaler))
+        return simulate_colocated([(p.workload_id, p.node_id, spec, truth)
+                                   for p, (spec, _, truth) in zip(placements, arm)],
+                                  cluster)
+
     rows = []
     for trial in range(config.trials):
-        tenants = _draw_tenants(config, wset, trial)
+        tenants = _draw_tenants(config, wset, trial, references)
+        ids = [f"t{trial}-w{w.workload_id:02d}" for w in tenants]
         row: dict = {"trial": trial, "aborted": False, "abort_reason": None}
         try:
-            ursa_requests = []
-            ursa_specs: dict[str, ResourceSpec] = {}
+            ursa_arm = []
             for w in tenants:
-                sid = f"t{trial}-w{w.workload_id:02d}"
-                predicted = _predict(config, wset, bundle, w)
                 request = PlanningRequest(policy="scale-down",
                                           current_spec=w.origin_spec,
                                           performance_tolerance=config.epsilon,
                                           cost_weights=config.cost_weights)
-                rec = plan_capacity(request, predicted)
-                probe = probe_for(w, rec, wset.constants,
-                                  noise_sigma=config.probe_noise,
-                                  seed=w.noise_seed)
-                profile = build_profile(probe, references)
-                ursa_requests.append((sid, rec, profile))
-                ursa_specs[sid] = rec
-            ursa_placements = place(ursa_requests, _fresh_nodes(config),
-                                    ScheduleConfig(policy=POLICY_URSA,
-                                                   scaler=config.scaler))
-            lrp_requests = [(f"t{trial}-w{w.workload_id:02d}", w.origin_spec,
-                             w.ground_truth_profile) for w in tenants]
-            lrp_placements = place(lrp_requests, _fresh_nodes(config),
-                                   ScheduleConfig(policy=POLICY_LRP,
-                                                  scaler=config.scaler))
+                spec = plan_capacity(request, _predict(config, wset, bundle, w))
+                probe = probe_for(w, spec, wset.constants,
+                                  noise_sigma=config.probe_noise, seed=w.noise_seed)
+                ursa_arm.append((spec, build_profile(probe, references),
+                                 true_profile_at(w, spec, wset.constants, references)))
+            ursa = _deploy(POLICY_URSA, ids, ursa_arm)
+            lrp = _deploy(POLICY_LRP, ids, [(w.origin_spec, w.ground_truth_profile,
+                                             w.ground_truth_profile) for w in tenants])
         except CapacityExhaustedError as exc:
             row["aborted"] = True
             row["abort_reason"] = str(exc)
             rows.append(row)
             continue
-
-        by_id = {f"t{trial}-w{w.workload_id:02d}": w for w in tenants}
-        ursa_tenants = []
-        for p in ursa_placements:
-            w = by_id[p.workload_id]
-            spec = ursa_specs[p.workload_id]
-            ursa_tenants.append((p.workload_id, p.node_id, spec,
-                                 true_profile_at(w, spec, wset.constants,
-                                                 references)))
-        lrp_tenants = [(p.workload_id, p.node_id, by_id[p.workload_id].origin_spec,
-                        by_id[p.workload_id].ground_truth_profile)
-                       for p in lrp_placements]
-        ursa_report = simulate_colocated(ursa_tenants, cluster)
-        lrp_report = simulate_colocated(lrp_tenants, cluster)
         row.update({
-            "ursa_p_sys": ursa_report.p_sys,
-            "ursa_unfairness": ursa_report.unfairness,
-            "lrp_p_sys": lrp_report.p_sys,
-            "lrp_unfairness": lrp_report.unfairness,
-            "p_sys_ratio": ursa_report.p_sys / lrp_report.p_sys,
+            "ursa_p_sys": ursa.p_sys,
+            "ursa_unfairness": ursa.unfairness,
+            "lrp_p_sys": lrp.p_sys,
+            "lrp_unfairness": lrp.unfairness,
+            "p_sys_ratio": ursa.p_sys / lrp.p_sys,
             "unfairness_reduction_pct":
-                100.0 * (1.0 - ursa_report.unfairness / lrp_report.unfairness)
-                if lrp_report.unfairness > 0 else None,
+                100.0 * (1.0 - ursa.unfairness / lrp.unfairness)
+                if lrp.unfairness > 0 else None,
         })
         rows.append(row)
 
@@ -603,28 +596,41 @@ def run_hyperparam_sweep(config: ExperimentConfig, wset: WorkloadSet,
     """Validation error on wset across cluster counts and base configs.
 
     ks defaults to 2..min(30, training workloads), bases to every spec
-    of the region. The observations and feature selection are computed
-    once per base, then every k refits the clustering and classifier.
-    Rows carry the per-workload errors so any aggregate can be
-    recomputed; the summary counts the classifier fits that stopped at
-    the mlp_epochs cap without converging.
+    of the region. The grid is checked before any fit: each list must be
+    non-empty and without repeats, every k in [1, training workloads]
+    and every base a grid point of the region. The observations and
+    feature selection are computed once per base, then every k refits
+    the clustering and classifier. Rows carry the per-workload errors so
+    any aggregate can be recomputed; the summary counts the classifier
+    fits that stopped at the mlp_epochs cap without converging.
     """
     train_ids, val_ids = split_train_val(config)
-    if ks is None:
-        ks = range(2, min(30, len(train_ids)) + 1)
-    if bases is None:
-        bases = wset.region.specs()
+    ks = [int(k) for k in (range(2, min(30, len(train_ids)) + 1) if ks is None else ks)]
+    bases = list(wset.region.specs() if bases is None else bases)
+    for name, values in (("ks", ks), ("bases", [b.key for b in bases])):
+        if not values:
+            raise ValueError(f"sweep {name} must be non-empty")
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ValueError(f"sweep {name} repeat {repeated}")
+    for k in ks:
+        if not 1 <= k <= len(train_ids):
+            raise ValueError(f"sweep k {k} must be in [1, {len(train_ids)}], "
+                             "the training workload count")
+    for base in bases:
+        if not wset.region.is_grid_point(base):
+            raise ValueError(f"sweep base {base.key} is not a grid point of the region")
     rows = []
     capped = 0
     for base in bases:
         seen = _observe(config, wset, train_ids + val_ids, base)
         data = _prepare_base(config, train_ids, base, seen)
         for k in ks:
-            bundle = _fit(config, wset, data, int(k), val_ids)
+            bundle = _fit(config, wset, data, k, val_ids)
             capped += not bundle.classifier.converged
             report = _validate(wset, bundle, seen)
             rows.append({
-                "k": int(k),
+                "k": k,
                 "base": base.key,
                 "mean_error": report.mean_error,
                 "max_error": report.max_error,

@@ -74,6 +74,12 @@ class NodeState:
         if (self.used_cores > self.capacity.cores
                 or self.used_memory_gb > self.capacity.memory_gb):
             raise ValueError("used resources exceed capacity")
+        # used_* may exceed what the tenants hold (capacity taken by
+        # something unlisted), never fall short of it.
+        if (sum(spec.cores for _, spec, _ in self.deployed) > self.used_cores
+                or sum(spec.memory_gb for _, spec, _ in self.deployed)
+                > self.used_memory_gb):
+            raise ValueError("deployed tenants hold more than the used resources")
         # An empty node has nothing that could be hurt: max sensitivity 0.
         self._sum_p = [0] * len(SharedResource)
         self._max_s = [0] * len(SharedResource)

@@ -270,8 +270,9 @@ def _signature(params: ArchetypeParams, region: ConfigRegion,
 
 
 def observe_indexes(workload: Workload, spec: ResourceSpec, noise_sigma: float,
-                    constants: NodeConstants = NodeConstants()) -> SystemIndexVector:
-    """Measure the 15 indexes of a workload deployed at spec.
+                    constants: NodeConstants) -> SystemIndexVector:
+    """Measure the 15 indexes of a workload deployed at spec on a node of
+    the given constants.
 
     Deterministic in (noise_seed, spec): re-observing the same
     deployment yields the same reading, different specs get fresh
@@ -296,22 +297,20 @@ def observe_indexes(workload: Workload, spec: ResourceSpec, noise_sigma: float,
 
 def true_profile_at(workload: Workload, spec: ResourceSpec,
                     constants: NodeConstants,
-                    reference_tracks: ReferenceTracks | None = None) -> InterferenceProfile:
+                    reference_tracks: ReferenceTracks) -> InterferenceProfile:
     """Ground-truth interference profile at a deployment spec.
 
     Pressures follow the usage rates scaled by activity at spec; LLC
-    pressure is defined as the level of the nearest stress reference
-    track. Sensitivities are the generative levels, except that a
-    resource the workload does not use at all cannot be sensitive.
+    pressure is defined as the level of the nearest of reference_tracks,
+    the stress tracks of the node constants. Sensitivities are the
+    generative levels, except that a resource the workload does not use
+    at all cannot be sensitive.
     """
     params = workload.params
     f = params.footprint
     region = workload.ground_truth_surface.region
     a = activity(params, region, spec)
     n = constants.levels
-    if reference_tracks is None:
-        reference_tracks = stress_reference_tracks(constants)
-
     w = constants.llc_ways
     p_llc = reference_tracks.nearest_level([a * f.kmps_at(ways) for ways in range(1, w + 1)])
     if a * f.kmps_base > 0 and f.demand_slope > 0:
@@ -402,7 +401,7 @@ def _draw_params(rng: np.random.Generator, family: str, rates: dict[str, float],
 
 
 def generate_archetypes(count: int, rng_seed: int,
-                        constants: NodeConstants = NodeConstants()) -> list[WorkloadArchetype]:
+                        constants: NodeConstants) -> list[WorkloadArchetype]:
     """Draw `count` archetypes with pairwise-distinct surface shapes.
 
     Families rotate round-robin so every resource family is covered,
@@ -465,12 +464,14 @@ def _jittered_params(params: ArchetypeParams, rng: np.random.Generator,
 def make_workload(archetype: WorkloadArchetype, workload_id: int, noise_seed: int,
                   origin: ResourceSpec, region: ConfigRegion,
                   constants: NodeConstants, base_spec: ResourceSpec,
-                  surface_noise: float = 0.0, footprint_noise: float = 0.0,
-                  reference_tracks: ReferenceTracks | None = None) -> Workload:
+                  surface_noise: float = 0.0, footprint_noise: float = 0.0, *,
+                  reference_tracks: ReferenceTracks) -> Workload:
     """One workload instance of an archetype, deployed at origin.
 
     Parameter jitter is derived from noise_seed, so the same seed
-    reproduces the same instance regardless of how it was drawn.
+    reproduces the same instance regardless of how it was drawn. Its
+    ground-truth profile reads LLC pressure off reference_tracks, the
+    stress tracks of the node constants.
     """
     wrng = np.random.default_rng(np.random.SeedSequence([noise_seed, 7]))
     params = _jittered_params(archetype.params, wrng, surface_noise, footprint_noise)
@@ -511,7 +512,7 @@ def generate_workloads(archetypes: list[WorkloadArchetype], count: int, rng_seed
                                           region.memory_levels_gb[-1] + 1)))
         workloads.append(make_workload(
             archetype, workload_id, noise_seed, origin, region, constants,
-            base_spec, surface_noise, footprint_noise, references))
+            base_spec, surface_noise, footprint_noise, reference_tracks=references))
     return workloads
 
 

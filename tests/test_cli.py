@@ -9,9 +9,9 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from capsched import cli
+from capsched import cli, experiment
 from capsched.cli import main
-from capsched.core import NodeConstants, canonical_json
+from capsched.core import InterferenceProfile, NodeConstants, canonical_json
 from capsched.experiment import ExperimentConfig, build_workload_set
 from capsched.workload_synth import WorkloadSet, observe_indexes
 
@@ -313,6 +313,26 @@ def test_sweep_emits_grid(workdir):
     assert csv_lines[0] == "k,base,mean_error,max_error"
 
 
+@pytest.mark.parametrize("grid, message", [
+    (["--ks", ","], "sweep ks must be non-empty"),
+    (["--ks", "0"], "sweep k 0 must be in [1, 8], the training workload count"),
+    (["--ks", "9"], "sweep k 9 must be in [1, 8], the training workload count"),
+    (["--ks", "2,2"], "sweep ks repeat [2]"),
+    (["--bases", "3c5g"], "sweep base 3c5g is not a grid point of the region"),
+    (["--bases", "40c8g"], "sweep base 40c8g is not a grid point of the region"),
+    (["--bases", "1c2g,1c2g"], "sweep bases repeat ['1c2g']"),
+])
+def test_sweep_checks_its_grid_before_any_fit(grid, message, workdir, tmp_path, monkeypatch):
+    observed = []
+    monkeypatch.setattr(experiment, "observe_indexes", lambda *a: observed.append(a))
+    out = tmp_path / "out"
+    rc, _, stderr = _run("sweep", "--config", str(workdir / "config.json"),
+                         "--out", str(out), "--ks", "2,3", "--bases", "6c8g", *grid)
+    assert (rc, stderr) == (1, f"error: {message}\n")
+    assert observed == []
+    assert not (out / "sweep.json").exists()
+
+
 def test_loocv_emits_rounds(tmp_path):
     config = ExperimentConfig(rng_seed=4, archetype_count=3, workload_count=6,
                               train_count=4, val_count=2, k=3, trials=1,
@@ -385,6 +405,7 @@ def _one_error_line(stderr):
     {"footprint_noise": -0.1}, {"probe_noise": -0.1}, {"mlp_epochs": -1},
     {"cost_weight_cores": -1.0}, {"cost_weight_memory": -1.0}, {"archetype_count": 1},
     {"scaler": 0.5}, {"scaler": 1.0}, {"scaler": float("inf")},
+    {"epsilon": 1.0}, {"scale_factors": [0.5]},
 ])
 def test_bad_config_exits_1_before_any_work(override, tmp_path):
     # gen never reads the cluster settings, so a bad gamma or node count
@@ -569,6 +590,11 @@ def test_plan_rejects_inconsistent_bundle(mutate, message, workdir, tmp_path):
     ({"nodes": [{"node_id": 0, "capacity": {"cores": 96, "memory_gb": 256},
                  "used_cores": 97}]},
      "node row 0: used resources exceed capacity"),
+    ({"nodes": [{"node_id": 0, "capacity": {"cores": 96, "memory_gb": 256},
+                 "deployed": [{"workload_id": i, "spec": {"cores": 90, "memory_gb": 8},
+                               "profile": InterferenceProfile.zero().to_json()}
+                              for i in (1, 2)]}]},
+     "node row 0: deployed tenants hold more than the used resources"),
 ])
 def test_schedule_rejects_bad_node_rows(inventory, message, workdir, tmp_path):
     nodes = tmp_path / "nodes.json"
@@ -742,6 +768,19 @@ def test_estimate_refuses_a_tracks_file_before_probing(edit, message, workdir, t
                          "--tracks", str(tracks))
     assert (rc, stderr) == (1, f"error: {tracks}: {message}\n")
     assert probed == []
+
+
+@pytest.mark.parametrize("spec", ["40c200g", "1c1g"])
+def test_estimate_refuses_a_spec_outside_the_region(spec, workdir, tmp_path):
+    out = tmp_path / "out"
+    rc, _, stderr = _run("estimate", "--config", str(workdir / "config.json"),
+                         "--out", str(out), "--spec", spec,
+                         "--workloads", str(workdir / "gen" / "workloads.json"))
+    cores, memory = spec.rstrip("g").split("c")
+    assert rc == 1
+    assert _one_error_line(stderr), stderr
+    assert f"ResourceSpec(cores={cores}, memory_gb={memory}) outside region" in stderr
+    assert not (out / "profiles.json").exists()
 
 
 @pytest.mark.parametrize("command", ["schedule", "simulate"])

@@ -106,7 +106,7 @@ def test_quantify_rate_resources_worked_examples():
 def test_idle_resource_scores_zero_everywhere():
     probe = SimulatedProbe(CONSTANTS, _footprint(sens_membw=15, sens_disk=15,
                                                  sens_network=15))
-    profile = build_profile(probe)
+    profile = build_profile(probe, stress_reference_tracks(CONSTANTS))
     for resource in SharedResource:
         ps = profile.get(resource)
         assert (ps.pressure, ps.sensitivity) == (0, 0)
@@ -138,7 +138,6 @@ def test_build_profile_composes_per_resource_estimates():
                     sens_membw=7, sens_disk=12, sens_network=3)
     tracks = stress_reference_tracks(CONSTANTS)
     profile = build_profile(SimulatedProbe(CONSTANTS, fp), tracks)
-    assert profile == build_profile(SimulatedProbe(CONSTANTS, fp))
     assert profile.get(SharedResource.LLC) == quantify_llc(
         SimulatedProbe(CONSTANTS, fp), tracks)
     assert profile.get(SharedResource.MEMORY_BANDWIDTH).pressure == 5

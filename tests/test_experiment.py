@@ -178,6 +178,18 @@ def test_colocation_simulates_on_the_workload_sets_node_constants(small_config,
     assert clusters[0].pressure_threshold == 2.5
 
 
+def test_colocation_tenants_carry_the_workload_sets_jitter(small_config):
+    # A saved world drawn with jitter 0.2: its trial tenants are jittered
+    # as its workloads are, whatever jitter the config names.
+    jittered = replace(small_config, surface_noise=0.2, footprint_noise=0.2)
+    wset = WorkloadSet.from_json(json.loads(canonical_json(
+        build_workload_set(jittered).to_json())))
+    bundle = train_bundle(small_config, wset)
+    reports = [canonical_json(run_colocation(config, wset, bundle).to_json())
+               for config in (small_config, jittered)]
+    assert reports[0] == reports[1]
+
+
 def test_hyperparam_sweep_covers_requested_grid(small_config, small_wset):
     report = run_hyperparam_sweep(small_config, small_wset, ks=(2, 3, 5),
                                   bases=[small_config.base_spec])

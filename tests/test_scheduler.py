@@ -182,6 +182,9 @@ def test_node_state_validation():
         NodeState(node_id=-1)
     with pytest.raises(ValueError):
         NodeState(node_id=0, capacity=ResourceSpec(8, 16), used_cores=9)
+    with pytest.raises(ValueError, match="deployed tenants hold more"):
+        NodeState(node_id=0, capacity=ResourceSpec(8, 16), used_cores=4, used_memory_gb=4,
+                  deployed=[("w", ResourceSpec(4, 8), _profile())])
 
 
 def test_node_state_json_roundtrip():

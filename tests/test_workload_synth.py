@@ -75,7 +75,8 @@ def test_make_workload_reproducible():
     archetypes = generate_archetypes(3, rng_seed=9, constants=CONSTANTS)
     kwargs = dict(origin=ResourceSpec(4, 6), region=REGION,
                   constants=CONSTANTS, base_spec=BASE,
-                  surface_noise=0.05, footprint_noise=0.05)
+                  surface_noise=0.05, footprint_noise=0.05,
+                  reference_tracks=stress_reference_tracks(CONSTANTS))
     w1 = make_workload(archetypes[0], 0, 12345, **kwargs)
     w2 = make_workload(archetypes[0], 0, 12345, **kwargs)
     assert w1.params == w2.params

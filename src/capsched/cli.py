@@ -58,6 +58,14 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _flag(flag: str, parse, text: str):
+    """parse(text), a fault naming the flag the text came from."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -134,6 +142,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_plan(args) -> int:
     config = _config_from_args(args)
+    current = _flag("--current", ResourceSpec.parse, args.current)
     out = _out_dir(args)
     bundle = ModelBundle.load(args.bundle)
     if bundle.base_spec != config.base_spec:
@@ -143,7 +152,6 @@ def cmd_plan(args) -> int:
     if isinstance(raw, dict):
         raw = raw.get("indexes", raw)
     indexes = SystemIndexVector.from_json(raw, f"{args.indexes}: indexes")
-    current = ResourceSpec.parse(args.current)
     tolerance = config.epsilon if args.tolerance is None else args.tolerance
     request = PlanningRequest(policy=args.policy, current_spec=current,
                               target_speedup=args.target,
@@ -179,9 +187,9 @@ def cmd_plan(args) -> int:
 
 def cmd_estimate(args) -> int:
     config = _config_from_args(args)
+    spec = _flag("--spec", ResourceSpec.parse, args.spec) if args.spec else None
     out = _out_dir(args)
     wset = WorkloadSet.load(args.workloads)
-    spec = ResourceSpec.parse(args.spec) if args.spec else None
     if spec:
         wset.region.require(spec)
     if args.tracks:
@@ -371,20 +379,23 @@ def _parse_int_list(text: str) -> list[int]:
     out = []
     for part in text.split(","):
         part = part.strip()
-        if ":" in part:
-            lo, hi = part.split(":")
-            out.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            out.append(int(part))
+        try:
+            if ":" in part:
+                lo, hi = part.split(":")
+                out.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                out.append(int(part))
+        except ValueError:
+            raise ValueError(f"{part!r} is not an integer or a lo:hi range") from None
     return out
 
 
 def cmd_sweep(args) -> int:
     config = _config_from_args(args)
+    ks = _flag("--ks", _parse_int_list, args.ks) if args.ks else None
+    bases = (_flag("--bases", lambda t: [ResourceSpec.parse(b) for b in t.split(",")],
+                   args.bases) if args.bases else None)
     out = _out_dir(args)
-    ks = _parse_int_list(args.ks) if args.ks else None
-    bases = ([ResourceSpec.parse(b) for b in args.bases.split(",")]
-             if args.bases else None)
     report = run_hyperparam_sweep(config, _load_or_generate(args, config),
                                   ks=ks, bases=bases)
     _emit_report(out, "sweep", report,

@@ -239,14 +239,18 @@ class ResourceSpec(JsonRecord):
 
     @classmethod
     def parse(cls, text: str) -> "ResourceSpec":
-        """Parse '6c8g' or '6,8' into a spec."""
+        """Parse '6c8g' or '6,8' into a spec; a fault names text as typed."""
         t = text.strip().lower()
         if "c" in t:
             c, _, m = t.partition("c")
             m = m.rstrip("g")
         else:
             c, _, m = t.partition(",")
-        return cls(cores=int(c), memory_gb=int(m))
+        try:
+            cores, memory_gb = int(c), int(m)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a spec like 6c8g or 6,8") from None
+        return cls(cores=cores, memory_gb=memory_gb)
 
 
 # Default grid. Cores step by at most 2 so a grid neighbor is never

@@ -8,8 +8,12 @@ running solo on a probe-equipped node:
 * pressure: how hard the workload pushes on a resource, discretized
   onto a 0..N level scale from its measured usage,
 * sensitivity: how much the workload suffers when something else
-  pushes, found by sweeping a calibrated stressor from level 1 upward
-  until the workload's own usage drops by at least 10%.
+  pushes: the first level of a calibrated stressor at which the
+  workload's own usage drops by at least 10%. A bisection over levels
+  1..N finds it in at most ceil(log2(N + 1)) stress runs, assuming the
+  drop never shrinks as the level rises, which holds for a noise-free
+  probe. With a noisy probe the response need not be monotone, so its
+  profiles may differ from those of an ascending scan.
 
 The LLC is special cased: pressure comes from matching the workload's
 kmps track (kilo LLC misses per second as a function of allocated
@@ -122,21 +126,25 @@ class SimulatedProbe:
     tolerance; the tolerance is levels - sensitivity, so the first
     >=10% drop lands exactly at tolerance + 1.
 
-    noise_sigma adds multiplicative log-normal noise to every reading.
-    It defaults to off so repeated estimates are bit-identical.
+    noise_sigma adds multiplicative log-normal noise to every reading,
+    drawn from a generator seeded by seed. It defaults to off, and then
+    no generator is built, so repeated estimates are bit-identical.
     """
 
     def __init__(self, constants: NodeConstants, footprint: ResourceFootprint,
                  activity: float = 1.0, noise_sigma: float = 0.0, seed: int = 0):
         if not 0.0 <= activity <= 1.0:
             raise ValueError(f"activity must be in [0, 1], got {activity}")
-        if noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not noise_sigma >= 0:
+            raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         self._constants = constants
         self._footprint = footprint
         self._activity = activity
         self._noise_sigma = noise_sigma
-        self._rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        self._rng = (np.random.default_rng(np.random.SeedSequence([seed]))
+                     if noise_sigma > 0 else None)
 
     @property
     def constants(self) -> NodeConstants:
@@ -144,7 +152,7 @@ class SimulatedProbe:
         return self._constants
 
     def _noisy(self, value: float) -> float:
-        if self._noise_sigma == 0.0:
+        if self._rng is None:
             return value
         return value * float(np.exp(self._noise_sigma * self._rng.standard_normal()))
 
@@ -319,20 +327,25 @@ def quantify_llc(probe: SimulatedProbe,
 
 def _sweep_sensitivity(probe: SimulatedProbe, resource: SharedResource,
                        n_levels: int, baseline: float) -> int:
-    """Ascending stress sweep; first >=10% drop wins.
+    """Bisection stress sweep for the first level with a >=10% drop.
 
-    Returns n_levels - max_unaffected_level. The baseline is the
-    unstressed (level 0) reading per the protocol.
+    Returns n_levels - max_unaffected_level, 0 when no level up to
+    n_levels crosses. The baseline is the unstressed (level 0) reading
+    per the protocol. The search assumes the drop never shrinks as the
+    level rises, and then finds the level an ascending scan would, in
+    at most ceil(log2(n_levels + 1)) stress runs.
     """
     if baseline <= 0:
         return 0
-    max_level = n_levels
-    for level in range(1, n_levels + 1):
+    lo, hi = 1, n_levels + 1  # first crossing in lo..hi; n_levels + 1: none
+    while lo < hi:
+        level = (lo + hi) // 2
         usage = probe.apply_stress(resource, level)
         if baseline - usage >= DEGRADATION_THRESHOLD * baseline:
-            max_level = level - 1
-            break
-    return n_levels - max_level
+            hi = level
+        else:
+            lo = level + 1
+    return n_levels - (lo - 1)
 
 
 def rate_capacity(constants: NodeConstants, resource: SharedResource) -> float:
@@ -351,7 +364,7 @@ def rate_capacity(constants: NodeConstants, resource: SharedResource) -> float:
 
 
 def quantify_rate(probe: SimulatedProbe, resource: SharedResource) -> PressureSensitivity:
-    """Pressure from solo usage, sensitivity from an ascending stress sweep."""
+    """Pressure from solo usage, sensitivity from a bisection stress sweep."""
     constants = probe.constants
     usage = probe.apply_stress(resource, 0)
     pressure = pressure_level(usage, rate_capacity(constants, resource),

@@ -193,11 +193,18 @@ class Workload:
         return cls(**got)
 
 
+def _core_term(params: ArchetypeParams, cores: float) -> float:
+    return min(float(cores), params.sat_cores) ** params.alpha
+
+
+def _memory_term(params: ArchetypeParams, memory_gb: float) -> float:
+    return min(float(memory_gb), params.sat_memory) ** params.beta
+
+
 def raw_throughput(params: ArchetypeParams, cores: float, memory_gb: float) -> float:
-    """Unnormalized throughput of the saturating power-law surface."""
-    c = min(float(cores), params.sat_cores)
-    m = min(float(memory_gb), params.sat_memory)
-    return c ** params.alpha * m ** params.beta
+    """Unnormalized throughput of the saturating power-law surface, a
+    core term times a memory term."""
+    return _core_term(params, cores) * _memory_term(params, memory_gb)
 
 
 def activity(params: ArchetypeParams, region: ConfigRegion, spec: ResourceSpec) -> float:
@@ -213,10 +220,18 @@ def activity(params: ArchetypeParams, region: ConfigRegion, spec: ResourceSpec) 
 
 def tabulate_surface(params: ArchetypeParams, region: ConfigRegion,
                      base_spec: ResourceSpec) -> ScalingSurface:
+    """The surface over region's grid, 1.0 at base_spec.
+
+    raw_throughput is a core term times a memory term, so the grid is
+    the outer product of one term per level, each equal to
+    raw_throughput(c, m) / base. The terms stay Python's ** on floats:
+    numpy's power may round differently.
+    """
     base = raw_throughput(params, base_spec.cores, base_spec.memory_gb)
-    values = [[raw_throughput(params, c, m) / base for m in region.memory_levels_gb]
-              for c in region.core_levels]
-    return ScalingSurface(region=region, base_spec=base_spec, values=values)
+    core_terms = [_core_term(params, c) for c in region.core_levels]
+    memory_terms = [_memory_term(params, m) for m in region.memory_levels_gb]
+    return ScalingSurface(region=region, base_spec=base_spec,
+                          values=np.outer(core_terms, memory_terms) / base)
 
 
 def tps_at(workload: Workload, spec: ResourceSpec) -> float:
@@ -434,9 +449,13 @@ def _clip(value: float, bounds: tuple[float, float]) -> float:
     return min(max(value, bounds[0]), bounds[1])
 
 
-def _jittered_params(params: ArchetypeParams, rng: np.random.Generator,
+def _jittered_params(params: ArchetypeParams, rng: np.random.Generator | None,
                      surface_noise: float, footprint_noise: float) -> ArchetypeParams:
+    # Without a generator (both noises 0) every factor is exp(0 * z) = 1.0,
+    # and the clips still apply.
     def mul(sigma: float) -> float:
+        if rng is None:
+            return 1.0
         z = rng.standard_normal()
         return float(np.exp(sigma * z))
 
@@ -469,11 +488,15 @@ def make_workload(archetype: WorkloadArchetype, workload_id: int, noise_seed: in
     """One workload instance of an archetype, deployed at origin.
 
     Parameter jitter is derived from noise_seed, so the same seed
-    reproduces the same instance regardless of how it was drawn. Its
-    ground-truth profile reads LLC pressure off reference_tracks, the
-    stress tracks of the node constants.
+    reproduces the same instance regardless of how it was drawn; with
+    both noises 0 no generator is seeded at all. Its ground-truth
+    profile reads LLC pressure off reference_tracks, the stress tracks
+    of the node constants.
     """
-    wrng = np.random.default_rng(np.random.SeedSequence([noise_seed, 7]))
+    if noise_seed < 0:
+        raise ValueError(f"noise_seed must be non-negative, got {noise_seed}")
+    wrng = (np.random.default_rng(np.random.SeedSequence([noise_seed, 7]))
+            if surface_noise != 0 or footprint_noise != 0 else None)
     params = _jittered_params(archetype.params, wrng, surface_noise, footprint_noise)
     surface = tabulate_surface(params, region, base_spec)
     seed_workload = Workload(

@@ -783,6 +783,25 @@ def test_estimate_refuses_a_spec_outside_the_region(spec, workdir, tmp_path):
     assert not (out / "profiles.json").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--bases", "6c"], "--bases: '6c' is not a spec like 6c8g or 6,8"),
+    (["sweep", "--ks", "3:x"], "--ks: '3:x' is not an integer or a lo:hi range"),
+    (["estimate", "--workloads", "gen/workloads.json", "--spec", "6x8"],
+     "--spec: '6x8' is not a spec like 6c8g or 6,8"),
+    (["plan", "--bundle", "train/bundle.json", "--indexes", "indexes.json",
+      "--policy", "scale-up", "--target", "1.5", "--current", "2c"],
+     "--current: '2c' is not a spec like 6c8g or 6,8"),
+])
+def test_malformed_flag_value_exits_1_naming_flag_and_value(argv, message, workdir,
+                                                            tmp_path):
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / "out"
+    rc, _, stderr = _run(*argv, "--config", str(workdir / "config.json"),
+                         "--out", str(out))
+    assert (rc, stderr) == (1, f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["schedule", "simulate"])
 def test_requests_file_without_requests_exits_1_naming_it(command, workdir, tmp_path):
     requests = tmp_path / "requests.json"

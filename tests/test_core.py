@@ -34,8 +34,9 @@ def test_resource_spec_parse_and_key():
 
 
 def test_resource_spec_rejects_bad_input():
-    with pytest.raises(ValueError):
-        ResourceSpec.parse("6x8")
+    for text in ("6x8", "6c", "c8g", ",", ""):
+        with pytest.raises(ValueError, match=f"^{text!r} is not a spec like 6c8g or 6,8$"):
+            ResourceSpec.parse(text)
     with pytest.raises(ValueError):
         ResourceSpec(0, 8)
     with pytest.raises(ValueError):

@@ -1,10 +1,15 @@
 """Pressure/sensitivity estimation against the simulated probe."""
 
+import inspect
+import math
+
 import numpy as np
 import pytest
 
-from capsched.core import NodeConstants, SharedResource
+from capsched.core import NodeConstants, ResourceSpec, SharedResource
 from capsched.estimator import (
+    DEGRADATION_THRESHOLD,
+    RATE_FIELDS,
     ReferenceTracks,
     ResourceFootprint,
     SimulatedProbe,
@@ -16,6 +21,8 @@ from capsched.estimator import (
     stress_reference_tracks,
     ways_to_level,
 )
+from capsched.estimator import _sweep_sensitivity
+from capsched.workload_synth import probe_for
 
 CONSTANTS = NodeConstants()
 
@@ -151,6 +158,8 @@ def test_probe_validates_inputs():
         SimulatedProbe(CONSTANTS, fp, activity=1.5)
     with pytest.raises(ValueError):
         SimulatedProbe(CONSTANTS, fp, noise_sigma=-0.1)
+    with pytest.raises(ValueError):
+        SimulatedProbe(CONSTANTS, fp, noise_sigma=float("nan"))
     probe = SimulatedProbe(CONSTANTS, fp)
     with pytest.raises(ValueError):
         probe.set_llc_ways(0)
@@ -180,3 +189,111 @@ def test_reference_tracks_json_roundtrip():
     assert np.array_equal(back.kmps, tracks.kmps)
     with pytest.raises(ValueError):
         ReferenceTracks.from_json({"schema": "other/v1", "tracks": []})
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
+def test_probe_refuses_a_negative_seed_at_any_noise(noise_sigma):
+    # At zero noise no generator is seeded, so the probe checks the seed itself.
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        SimulatedProbe(CONSTANTS, _footprint(membw_gbps=1.0),
+                       noise_sigma=noise_sigma, seed=-1)
+
+
+# --- the bisection sweep against the ascending scan it replaced ---------------
+
+def _ascending_sweep(probe, resource, n_levels, baseline):
+    """Ascending stress sweep; first >=10% drop wins.
+
+    Returns n_levels - max_unaffected_level. The baseline is the
+    unstressed (level 0) reading per the protocol.
+    """
+    if baseline <= 0:
+        return 0
+    max_level = n_levels
+    for level in range(1, n_levels + 1):
+        usage = probe.apply_stress(resource, level)
+        if baseline - usage >= DEGRADATION_THRESHOLD * baseline:
+            max_level = level - 1
+            break
+    return n_levels - max_level
+
+
+class _CountingProbe:
+    """A probe whose apply_stress calls are counted."""
+
+    def __init__(self, probe):
+        self.probe, self.stress_runs = probe, 0
+
+    def apply_stress(self, resource, level):
+        self.stress_runs += 1
+        return self.probe.apply_stress(resource, level)
+
+
+def _both_sweeps(probe, resource):
+    n = probe.constants.levels
+    baseline = probe.apply_stress(resource, 0)
+    counted = _CountingProbe(probe)
+    got = _sweep_sensitivity(counted, resource, n, baseline)
+    assert counted.stress_runs <= math.ceil(math.log2(n + 1))
+    return got, _ascending_sweep(probe, resource, n, baseline)
+
+
+@pytest.mark.parametrize("spec", [ResourceSpec(1, 2), ResourceSpec(6, 8),
+                                  ResourceSpec(12, 16)])
+def test_bisection_sweep_matches_the_ascending_scan_on_default_workloads(
+        spec, default_wset):
+    for w in default_wset.workloads:
+        probe = probe_for(w, spec, default_wset.constants)
+        for resource in RATE_FIELDS:
+            got, want = _both_sweeps(probe, resource)
+            assert got == want, (w.workload_id, resource)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 7, 8, 20, 31])
+def test_bisection_sweep_matches_the_ascending_scan_at_every_crossing(levels):
+    # sens 0 never crosses, sens `levels` crosses at level 1 and sens 1 at
+    # level `levels`; usage 0 is a zero baseline.
+    constants = NodeConstants(levels=levels)
+    for sens in range(levels + 2):
+        for usage in (0.0, 3.0):
+            fp = _footprint(membw_gbps=usage, iops=usage, network_gbps=usage,
+                            sens_membw=sens, sens_disk=sens, sens_network=sens)
+            for resource in RATE_FIELDS:
+                got, want = _both_sweeps(SimulatedProbe(constants, fp), resource)
+                assert got == want == (min(sens, levels) if usage else 0)
+
+
+# --- probe cost -----------------------------------------------------------------
+
+PROBE_METHODS = ("read_usage", "set_llc_ways", "apply_stress")
+
+
+def test_probe_methods_are_every_public_method_of_the_probe():
+    public = {name for name, value in vars(SimulatedProbe).items()
+              if not name.startswith("_") and inspect.isfunction(value)}
+    assert public == set(PROBE_METHODS)
+
+
+def test_a_profile_costs_at_most_29_probe_readings(default_wset, monkeypatch):
+    # 11 way readings, one level-0 reading per rate resource, and at most
+    # ceil(log2(21)) = 5 stress runs per rate resource.
+    readings = []
+
+    def counted(method):
+        def wrapper(*args, **kwargs):
+            readings[-1] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name in PROBE_METHODS:
+        monkeypatch.setattr(SimulatedProbe, name, counted(getattr(SimulatedProbe, name)))
+    tracks = stress_reference_tracks(default_wset.constants)
+    totals = []
+    for _ in range(2):
+        readings.clear()
+        for w in default_wset.workloads:
+            readings.append(0)
+            build_profile(probe_for(w, w.origin_spec, default_wset.constants), tracks)
+        assert max(readings) <= CONSTANTS.llc_ways + 3 + 3 * 5 == 29
+        totals.append(sum(readings))
+    assert totals[0] == totals[1]

@@ -18,7 +18,8 @@ from capsched.core import (
     ScalingSurface,
 )
 from capsched.planner import PlanningRequest, plan_capacity, spec_cost, surface_error
-from capsched.workload_synth import raw_throughput, tabulate_surface
+from capsched.estimator import stress_reference_tracks
+from capsched.workload_synth import make_workload, raw_throughput, tabulate_surface
 
 REGION = ConfigRegion()
 SPECS = REGION.specs()
@@ -60,6 +61,20 @@ def _old_rebase(speedups, new_base):
     rebased = {s: v / anchor for s, v in speedups.items()}
     rebased[new_base] = 1.0
     return rebased
+
+
+def _old_raw_throughput(params, cores, memory_gb):
+    c = min(float(cores), params.sat_cores)
+    m = min(float(memory_gb), params.sat_memory)
+    return c ** params.alpha * m ** params.beta
+
+
+def _nested_tabulate(params, region, base_spec):
+    """tabulate_surface as 42 raw_throughput calls, before it was separable."""
+    base = _old_raw_throughput(params, base_spec.cores, base_spec.memory_gb)
+    values = [[_old_raw_throughput(params, c, m) / base for m in region.memory_levels_gb]
+              for c in region.core_levels]
+    return ScalingSurface(region=region, base_spec=base_spec, values=values)
 
 
 def _old_tabulate(params, base_spec):
@@ -178,6 +193,33 @@ def test_tabulate_surface_matches_dict_tabulation(small_wset):
     for p in params:
         for base in SPECS:
             assert _as_dict(tabulate_surface(p, REGION, base)) == _old_tabulate(p, base)
+
+
+def test_separable_tabulation_matches_nested_calls(default_config, default_wset):
+    archetypes = default_wset.archetypes
+    jittered = [make_workload(a, n, 1000 + n, ResourceSpec(4, 6), REGION,
+                              default_wset.constants, default_config.base_spec,
+                              surface_noise=0.05, footprint_noise=0.05,
+                              reference_tracks=stress_reference_tracks(default_wset.constants)
+                              ).params for n, a in enumerate(archetypes)]
+    assert all(j.alpha != a.params.alpha for j, a in zip(jittered, archetypes))
+    params = [a.params for a in archetypes] + jittered
+    # saturation below the first grid level, between levels and past the last
+    params += [replace(params[0], sat_cores=sc, sat_memory=sm)
+               for sc, sm in ((1.0, 1.0), (1.5, 3.0), (7.0, 10.0), (16.0, 20.0), (40.0, 90.0))]
+    other = ConfigRegion(core_levels=(1, 3, 5, 9, 16, 24), memory_levels_gb=(1, 3, 4, 32))
+    cases = [(REGION, base) for base in (ResourceSpec(6, 8), ResourceSpec(1, 2),
+                                         ResourceSpec(12, 16))]
+    cases += [(other, ResourceSpec(5, 4)), (other, ResourceSpec(24, 1))]
+    for p in params:
+        for region, base in cases:
+            got = tabulate_surface(p, region, base)
+            want = _nested_tabulate(p, region, base)
+            assert np.array_equal(got.values, want.values), (p, region, base)
+            assert got == want
+        for spec in INTEGER_SPECS:
+            assert (raw_throughput(p, spec.cores, spec.memory_gb)
+                    == _old_raw_throughput(p, spec.cores, spec.memory_gb))
 
 
 def test_plan_capacity_matches_dict_scan():

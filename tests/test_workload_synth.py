@@ -1,5 +1,7 @@
 """Generator invariants: separation, determinism, observation model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from capsched.workload_synth import (
     tps_at,
     true_profile_at,
 )
+from capsched.workload_synth import _jittered_params
 
 CONSTANTS = NodeConstants()
 REGION = ConfigRegion()
@@ -83,6 +86,27 @@ def test_make_workload_reproducible():
     assert w1.ground_truth_surface == w2.ground_truth_surface
     w3 = make_workload(archetypes[0], 0, 54321, **kwargs)
     assert w3.params != w1.params
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_make_workload_refuses_a_negative_noise_seed_at_any_noise(noise):
+    # At zero noise no generator is seeded, so make_workload checks the seed itself.
+    archetype = generate_archetypes(2, rng_seed=9, constants=CONSTANTS)[0]
+    with pytest.raises(ValueError, match="noise_seed must be non-negative, got -1"):
+        make_workload(archetype, 0, -1, ResourceSpec(4, 6), REGION, CONSTANTS, BASE,
+                      surface_noise=noise, footprint_noise=noise,
+                      reference_tracks=stress_reference_tracks(CONSTANTS))
+
+
+def test_zero_jitter_without_a_generator_matches_zero_jitter_drawn(default_wset):
+    # exp(0 * z) is exactly 1.0, so skipping the draws changes nothing, the
+    # clips included: the last archetype's alpha lies outside its clamp.
+    params = [a.params for a in default_wset.archetypes]
+    params.append(replace(params[0], alpha=1.5, sat_memory=25.0))
+    for p in params:
+        drawn = _jittered_params(p, np.random.default_rng(1), 0.0, 0.0)
+        assert _jittered_params(p, None, 0.0, 0.0) == drawn
+    assert drawn.alpha == 1.2 and drawn.sat_memory == 20.0
 
 
 def test_activity_normalized_at_region_max():

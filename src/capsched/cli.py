@@ -24,6 +24,7 @@ from .core import (
     SystemIndexVector,
     decode,
     read_json,
+    reject_unknown_keys,
     write_json,
 )
 from .estimator import ReferenceTracks, build_profile, stress_reference_tracks
@@ -237,18 +238,20 @@ def _load_nodes(args, config: ExperimentConfig) -> list[NodeState]:
         return [NodeState(node_id=i, capacity=cap)
                 for i in range(config.cluster_nodes)]
     raw = read_json(args.nodes)
+    where = f"{args.nodes}: node inventory"
     if not isinstance(raw, dict):
-        raise ValueError(f"{args.nodes}: node inventory must be a JSON object")
+        raise ValueError(f"{where} must be a JSON object")
     if "nodes" in raw:
+        reject_unknown_keys(raw, ("nodes",), where)
         if not isinstance(raw["nodes"], list):
             raise ValueError(f"{args.nodes}: 'nodes' must be a list")
-        nodes = [NodeState.from_json(row, where)
-                 for where, row in _rows(args.nodes, raw["nodes"], "node")]
+        nodes = [NodeState.from_json(row, row_where)
+                 for row_where, row in _rows(args.nodes, raw["nodes"], "node")]
     else:
-        inventory = decode({"count": int, "cores": int, "memory_gb": int},
-                           {"cores": config.node_cores,
-                            "memory_gb": config.node_memory_gb, **raw},
-                           f"{args.nodes}: node inventory")
+        types = {"count": int, "cores": int, "memory_gb": int}
+        reject_unknown_keys(raw, types, where)
+        inventory = decode(types, {"cores": config.node_cores,
+                                   "memory_gb": config.node_memory_gb, **raw}, where)
         cap = ResourceSpec(inventory["cores"], inventory["memory_gb"])
         nodes = [NodeState(node_id=i, capacity=cap) for i in range(inventory["count"])]
     if not nodes:
@@ -390,10 +393,18 @@ def _parse_int_list(text: str) -> list[int]:
     return out
 
 
+def _parse_base(text: str) -> ResourceSpec:
+    """A spec in the 6c8g form: --bases splits on commas, so 6,8 cannot occur."""
+    try:
+        return ResourceSpec.parse(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a spec like 6c8g") from None
+
+
 def cmd_sweep(args) -> int:
     config = _config_from_args(args)
     ks = _flag("--ks", _parse_int_list, args.ks) if args.ks else None
-    bases = (_flag("--bases", lambda t: [ResourceSpec.parse(b) for b in t.split(",")],
+    bases = (_flag("--bases", lambda t: [_parse_base(b) for b in t.split(",")],
                    args.bases) if args.bases else None)
     out = _out_dir(args)
     report = run_hyperparam_sweep(config, _load_or_generate(args, config),

@@ -45,6 +45,7 @@ __all__ = [
     "decode",
     "fields_json",
     "read_json",
+    "reject_unknown_keys",
     "round_half_up",
     "write_json",
 ]
@@ -182,6 +183,14 @@ def decode(tp, value, where: str):
     return tp.from_json(value, where)
 
 
+def reject_unknown_keys(obj: dict, known, where: str) -> None:
+    """Raise ValueError naming every key of obj not among known: where keys
+    may be left out, a misspelt one would otherwise fall back to the default."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"{where} has unknown keys {unknown}")
+
+
 @functools.cache
 def _field_types(cls) -> dict:
     hints = typing.get_type_hints(cls)
@@ -243,7 +252,7 @@ class ResourceSpec(JsonRecord):
         t = text.strip().lower()
         if "c" in t:
             c, _, m = t.partition("c")
-            m = m.rstrip("g")
+            m = m.removesuffix("g")
         else:
             c, _, m = t.partition(",")
         try:
@@ -435,13 +444,6 @@ class SystemIndexVector(JsonRecord):
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, n) for n in INDEX_NAMES], dtype=float)
-
-    @classmethod
-    def from_array(cls, values) -> "SystemIndexVector":
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != (len(INDEX_NAMES),):
-            raise ValueError(f"expected {len(INDEX_NAMES)} values, got shape {arr.shape}")
-        return cls(**{n: float(v) for n, v in zip(INDEX_NAMES, arr)})
 
 
 INDEX_NAMES = tuple(f.name for f in fields(SystemIndexVector))

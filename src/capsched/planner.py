@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     ConfigRegion,
     InfeasibleError,
+    JsonRecord,
     ResourceSpec,
     ScalingSurface,
     SystemIndexVector,
@@ -209,7 +210,7 @@ def _lasso_path(gram: np.ndarray, corr: np.ndarray, lams) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FeatureSelection:
+class FeatureSelection(JsonRecord):
     """Lasso outcome: regularization weight, coefficients, support.
 
     Weights live in standardized-feature space. selected holds the
@@ -220,19 +221,14 @@ class FeatureSelection:
     weights: tuple[float, ...]
     selected: tuple[int, ...]
 
+    def __post_init__(self):
+        if not all(0 <= i < len(INDEX_NAMES) for i in self.selected):
+            raise ValueError(f"selected indexes {list(self.selected)} are not all in "
+                             f"0..{len(INDEX_NAMES) - 1}")
+
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(INDEX_NAMES[i] for i in self.selected)
-
-    def to_json(self) -> dict:
-        return {"lambda": self.lam, "weights": list(self.weights),
-                "selected": list(self.selected)}
-
-    @classmethod
-    def from_json(cls, obj, where: str = "selection") -> "FeatureSelection":
-        got = decode({"lambda": float, "weights": tuple[float, ...],
-                      "selected": tuple[int, ...]}, obj, where)
-        return cls(lam=got["lambda"], weights=got["weights"], selected=got["selected"])
 
 
 def select_features(samples, lam: float) -> FeatureSelection:
@@ -297,10 +293,13 @@ class SurfaceClustering:
     objective after every assignment step (non-increasing).
     """
 
-    k: int
     centroids: tuple[ScalingSurface, ...]
     assignments: tuple[int, ...]
     cost_history: tuple[float, ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.centroids)
 
     def to_json(self) -> dict:
         return fields_json(self)
@@ -308,7 +307,7 @@ class SurfaceClustering:
     @classmethod
     def from_json(cls, region: ConfigRegion, obj,
                   where: str = "clustering") -> "SurfaceClustering":
-        got = decode({"k": int, "centroids": list, "assignments": tuple[int, ...],
+        got = decode({"centroids": list, "assignments": tuple[int, ...],
                       "cost_history": tuple[float, ...]}, obj, where)
         got["centroids"] = tuple(
             ScalingSurface.from_json(region, c, f"{where}.centroids[{i}]")
@@ -379,9 +378,12 @@ def cluster_surfaces(surfaces, k: int, rng_seed: int) -> SurfaceClustering:
                            f"in {KMEANS_MAX_ITER} iterations")
     shape = surfaces[0].values.shape
     centroids = tuple(ScalingSurface(region, base, c.reshape(shape)) for c in centers)
-    return SurfaceClustering(k=k, centroids=centroids,
+    return SurfaceClustering(centroids=centroids,
                              assignments=tuple(int(a) for a in assignments),
                              cost_history=tuple(history))
+
+
+_MLP_ARRAYS = ("w1", "b1", "w2", "b2")
 
 
 class _Mlp:
@@ -454,13 +456,16 @@ class _Mlp:
         _, logits = self._forward(x)
         return np.argmax(logits, axis=1)
 
+    def __eq__(self, other):
+        return isinstance(other, _Mlp) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _MLP_ARRAYS)
+
     def to_json(self) -> dict:
-        return {"w1": self.w1.tolist(), "b1": self.b1.tolist(),
-                "w2": self.w2.tolist(), "b2": self.b2.tolist()}
+        return {name: getattr(self, name).tolist() for name in _MLP_ARRAYS}
 
     @classmethod
     def from_json(cls, obj, where: str = "model") -> "_Mlp":
-        arrays = decode(dict.fromkeys(("w1", "b1", "w2", "b2"), list), obj, where)
+        arrays = decode(dict.fromkeys(_MLP_ARRAYS, list), obj, where)
         for name, value in arrays.items():
             # Weights are matrices, biases vectors; the shape is checked
             # before the numbers, so a flat w1 is named as such.
@@ -479,8 +484,8 @@ def _views(flat: np.ndarray, like) -> list[np.ndarray]:
 
 
 @dataclass(frozen=True)
-class SurfaceClassifier:
-    """Maps an index observation at base_spec to a cluster id.
+class SurfaceClassifier(JsonRecord):
+    """Maps an index observation at base_spec to one of n_classes cluster ids.
 
     Normalization statistics come from the training set only; only the
     selected feature positions are used. epochs is the number of Adam
@@ -492,11 +497,22 @@ class SurfaceClassifier:
     selection: FeatureSelection
     mean: tuple[float, ...]
     std: tuple[float, ...]
-    n_classes: int
     model: _Mlp
     training_accuracy: float
     epochs: int
     converged: bool
+
+    def __post_init__(self):
+        m = self.model
+        _same_sizes("feature", selected=len(self.selection.selected), mean=len(self.mean),
+                    std=len(self.std), w1_rows=m.w1.shape[0])
+        _same_sizes("hidden", w1_columns=m.w1.shape[1], b1=len(m.b1),
+                    w2_rows=m.w2.shape[0])
+        _same_sizes("class", w2_columns=m.w2.shape[1], b2=len(m.b2))
+
+    @property
+    def n_classes(self) -> int:
+        return self.model.w2.shape[1]
 
     def _features(self, indexes: SystemIndexVector) -> np.ndarray:
         raw = indexes.as_array()
@@ -509,39 +525,12 @@ class SurfaceClassifier:
         feats = self._features(indexes)[None, :]
         return int(self.model.predict(feats)[0])
 
-    def to_json(self) -> dict:
-        return {"kind": "mlp", **fields_json(self)}
-
-    @classmethod
-    def from_json(cls, obj, where: str = "classifier") -> "SurfaceClassifier":
-        """Load a classifier, checking its sizes against one another."""
-        got = decode({"kind": str, "base_spec": ResourceSpec,
-                      "selection": FeatureSelection, "mean": tuple[float, ...],
-                      "std": tuple[float, ...], "n_classes": int, "model": _Mlp,
-                      "training_accuracy": float, "epochs": int,
-                      "converged": bool}, obj, where)
-        kind = got.pop("kind")
-        if kind != "mlp":
-            raise ValueError(f"unknown classifier kind {kind!r}")
-        clf = cls(**got)
-        selected, m = clf.selection.selected, clf.model
-        if not all(0 <= i < len(INDEX_NAMES) for i in selected):
-            raise ValueError(f"selected indexes {list(selected)} are not all in "
-                             f"0..{len(INDEX_NAMES) - 1}")
-        _same_sizes("feature", selected=len(selected), mean=len(clf.mean),
-                    std=len(clf.std), w1_rows=m.w1.shape[0])
-        _same_sizes("hidden", w1_columns=m.w1.shape[1], b1=len(m.b1),
-                    w2_rows=m.w2.shape[0])
-        _same_sizes("class", w2_columns=m.w2.shape[1], b2=len(m.b2),
-                    n_classes=clf.n_classes)
-        return clf
-
 
 def _same_sizes(what: str, **sizes: int) -> None:
     """Raise ValueError naming every size unless all are equal."""
     if len(set(sizes.values())) > 1:
         listed = ", ".join(f"{name.replace('_', ' ')} {n}" for name, n in sizes.items())
-        raise ValueError(f"model bundle {what} sizes disagree: {listed}")
+        raise ValueError(f"{what} sizes disagree: {listed}")
 
 
 def train_classifier(training, base_spec: ResourceSpec,
@@ -573,7 +562,7 @@ def train_classifier(training, base_spec: ResourceSpec,
     return SurfaceClassifier(base_spec=base_spec, selection=selection,
                              mean=tuple(float(v) for v in mean),
                              std=tuple(float(v) for v in std),
-                             n_classes=k, model=model, training_accuracy=accuracy,
+                             model=model, training_accuracy=accuracy,
                              epochs=epochs_run, converged=converged)
 
 
@@ -659,17 +648,22 @@ class ModelBundle:
 
     The one classifier maps indexes observed at its base config,
     base_spec, to a cluster of the clustering, whose assignments follow
-    training_workload_ids order. The file keeps the classifier in a
-    one-entry map keyed by that base ('6c8g'), and a copy of its
-    feature selection at the top level.
+    training_workload_ids order. Every size that two parts share is
+    checked at construction, and the file states each field once.
     """
 
+    seed: int
     region: ConfigRegion
     clustering: SurfaceClustering
     classifier: SurfaceClassifier
     training_workload_ids: tuple[int, ...]
     validation_workload_ids: tuple[int, ...]
-    seed: int
+
+    def __post_init__(self):
+        _same_sizes("class", classes=self.classifier.n_classes,
+                    centroids=self.clustering.k)
+        _same_sizes("training", assignments=len(self.clustering.assignments),
+                    training_workload_ids=len(self.training_workload_ids))
 
     @property
     def base_spec(self) -> ResourceSpec:
@@ -683,45 +677,26 @@ class ModelBundle:
         return predict_surface(self.classifier, self.clustering, indexes)
 
     def to_json(self) -> dict:
-        return {"schema": "model-bundle/v1",
-                "seed": self.seed,
-                "region": self.region.to_json(),
-                "selection": self.selection.to_json(),
-                "clustering": self.clustering.to_json(),
-                "classifiers": {self.base_spec.key: self.classifier.to_json()},
-                "training_workload_ids": list(self.training_workload_ids),
-                "validation_workload_ids": list(self.validation_workload_ids)}
+        return {"schema": "model-bundle/v2", **fields_json(self)}
 
     def save(self, path) -> None:
         write_json(path, self.to_json())
 
     @classmethod
     def from_json(cls, obj, where: str = "bundle") -> "ModelBundle":
-        """Load a bundle, checking that its parts agree in size."""
-        if isinstance(obj, dict) and not isinstance(obj.get("classifiers", {}), dict):
-            raise ValueError(f"{where}.classifiers must be a JSON object")
-        got = decode({"schema": Literal["model-bundle/v1"], "seed": int,
-                      "region": ConfigRegion, "selection": FeatureSelection,
-                      "clustering": dict, "classifiers": dict,
+        """Load a bundle; its clustering's centroids lie on the bundle's region."""
+        got = decode({"schema": Literal["model-bundle/v2"], "seed": int,
+                      "region": ConfigRegion, "clustering": dict,
+                      "classifier": SurfaceClassifier,
                       "training_workload_ids": tuple[int, ...],
                       "validation_workload_ids": tuple[int, ...]}, obj, where)
-        keys = list(got["classifiers"])
-        classifiers = [SurfaceClassifier.from_json(c, f"{where}.classifiers[{key!r}]")
-                       for key, c in got.pop("classifiers").items()]
-        if len(keys) != 1 or keys[0] != classifiers[0].base_spec.key:
-            raise ValueError("a model bundle holds one classifier, keyed by its base; found "
-                             f"keys {keys} for bases {[c.base_spec.key for c in classifiers]}")
         del got["schema"]
-        if got.pop("selection") != classifiers[0].selection:
-            raise ValueError("bundle selection differs from its classifier's")
-        got["classifier"] = classifiers[0]
-        got["clustering"] = clustering = SurfaceClustering.from_json(
+        got["clustering"] = SurfaceClustering.from_json(
             got["region"], got["clustering"], f"{where}.clustering")
-        _same_sizes("class", n_classes=got["classifier"].n_classes, k=clustering.k,
-                    centroids=len(clustering.centroids))
-        _same_sizes("training", assignments=len(clustering.assignments),
-                    training_workload_ids=len(got["training_workload_ids"]))
-        return cls(**got)
+        try:
+            return cls(**got)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
     @classmethod
     def load(cls, path) -> "ModelBundle":

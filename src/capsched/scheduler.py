@@ -25,6 +25,7 @@ from .core import (
     SharedResource,
     decode,
     fields_json,
+    reject_unknown_keys,
 )
 
 DEFAULT_NODE_CORES = 96
@@ -122,11 +123,13 @@ class NodeState:
 
     @classmethod
     def from_json(cls, data, where: str = "node") -> "NodeState":
-        """A node from its JSON form; used_* and deployed may be left out."""
-        data = {"used_cores": 0, "used_memory_gb": 0, "deployed": [],
-                **decode(dict, data, where)}
-        got = decode({"node_id": int, "capacity": ResourceSpec, "used_cores": int,
-                      "used_memory_gb": int, "deployed": list}, data, where)
+        """A node from its JSON form; used_* and deployed may be left out,
+        and any other key is refused."""
+        types = {"node_id": int, "capacity": ResourceSpec, "used_cores": int,
+                 "used_memory_gb": int, "deployed": list}
+        reject_unknown_keys(decode(dict, data, where), types, where)
+        data = {"used_cores": 0, "used_memory_gb": 0, "deployed": [], **data}
+        got = decode(types, data, where)
         got["deployed"] = [
             tuple(decode(REQUEST_FIELDS, d, f"{where}.deployed[{i}]").values())
             for i, d in enumerate(got["deployed"])]

@@ -1,6 +1,12 @@
 import pytest
 
 from capsched import ExperimentConfig, build_workload_set, train_bundle
+from capsched.core import INDEX_NAMES, SystemIndexVector
+
+
+def index_vector(values) -> SystemIndexVector:
+    """The index vector whose as_array() is values, one per INDEX_NAMES entry."""
+    return SystemIndexVector(**dict(zip(INDEX_NAMES, map(float, values), strict=True)))
 
 
 @pytest.fixture(scope="session")

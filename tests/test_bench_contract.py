@@ -50,6 +50,21 @@ def test_counted_probe_methods_are_the_probes_own(tracer):
         assert method in vars(estimator.SimulatedProbe), method
 
 
+def test_planner_results_keep_the_attributes_the_tracer_reads(
+        monkeypatch, small_config, small_wset):
+    # The tracer's hooks add up len(cost_history) of every cluster_surfaces
+    # result and keep the least training_accuracy of every train_classifier one.
+    results = {}
+    for name in ("cluster_surfaces", "train_classifier"):
+        def kept(*args, fn=getattr(experiment, name), name=name, **kwargs):
+            results[name] = fn(*args, **kwargs)
+            return results[name]
+        monkeypatch.setattr(experiment, name, kept)
+    experiment.train_bundle(small_config, small_wset)
+    assert len(results["cluster_surfaces"].cost_history) >= 1
+    assert 0.0 <= results["train_classifier"].training_accuracy <= 1.0
+
+
 @pytest.mark.parametrize("runner, n_args", [
     (experiment.train_bundle, 2),     # train_bundle(config, wset)
     (experiment.run_colocation, 3),   # run_colocation(config, wset, bundle)

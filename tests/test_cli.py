@@ -64,8 +64,8 @@ def test_train_writes_bundle_and_validation(workdir):
     assert rc == 0
     assert "validation error" in stdout
     bundle = json.loads((out / "bundle.json").read_text())
-    assert bundle["schema"] == "model-bundle/v1"
-    assert bundle["clustering"]["k"] == TINY.k
+    assert bundle["schema"] == "model-bundle/v2"
+    assert len(bundle["clustering"]["centroids"]) == TINY.k
     report = json.loads((out / "validation.json").read_text())
     assert report["schema"] == "validation-report/v1"
     assert len(report["rows"]) == TINY.val_count
@@ -526,56 +526,63 @@ def test_simulate_rejects_inventory_it_cannot_model(inventory, workdir, tmp_path
     assert not (out / "simulation.json").exists()
 
 
-def _classifier(bundle):
-    [classifier] = bundle["classifiers"].values()
-    return classifier
-
-
 def _drop_w2_column(bundle):
-    for row in _classifier(bundle)["model"]["w2"]:
+    for row in bundle["classifier"]["model"]["w2"]:
         row.pop()
 
 
-@pytest.mark.parametrize("mutate, message", [
-    pytest.param(lambda b: b.update(classifiers=[]),
-                 "classifiers must be a JSON object", id="classifiers-list"),
-    pytest.param(lambda b: _classifier(b).update(kind="nearest_centroid"),
-                 "unknown classifier kind 'nearest_centroid'", id="kind"),
-    pytest.param(lambda b: b["selection"]["selected"].pop(),
-                 "selection differs", id="top-level-selection"),
-    pytest.param(lambda b: _classifier(b)["selection"]["selected"].append(15),
-                 "not all in 0..14", id="selected-range"),
-    pytest.param(lambda b: _classifier(b)["mean"].pop(),
-                 "feature sizes disagree", id="mean"),
-    pytest.param(lambda b: _classifier(b)["std"].append(1.0),
-                 "feature sizes disagree", id="std"),
-    pytest.param(lambda b: _classifier(b)["model"]["w1"].pop(),
-                 "feature sizes disagree", id="w1-rows"),
-    pytest.param(lambda b: _classifier(b)["model"].update(w1=[1.0]),
-                 "w1 has 1 dimensions", id="w1-vector"),
-    pytest.param(lambda b: _classifier(b)["model"]["b1"].pop(),
-                 "hidden sizes disagree", id="b1"),
-    pytest.param(_drop_w2_column, "class sizes disagree", id="w2-columns"),
-    pytest.param(lambda b: _classifier(b).update(n_classes=5),
-                 "class sizes disagree", id="n-classes"),
-    pytest.param(lambda b: b["clustering"]["centroids"].pop(),
-                 "class sizes disagree", id="centroids"),
-    pytest.param(lambda b: b["clustering"].update(k=5),
-                 "class sizes disagree", id="k"),
-    pytest.param(lambda b: b["clustering"]["assignments"].pop(),
-                 "training sizes disagree", id="assignments"),
-])
-def test_plan_rejects_inconsistent_bundle(mutate, message, workdir, tmp_path):
-    bundle = json.loads((workdir / "train" / "bundle.json").read_text())
-    mutate(bundle)
+def _plan_with_bundle(bundle, workdir, tmp_path):
+    """Run plan on a bundle file holding bundle; (exit code, stderr, its path, out dir)."""
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(bundle))
     out = tmp_path / "out"
     rc, _, stderr = _run("plan", "--config", str(workdir / "config.json"),
                          "--out", str(out), "--bundle", str(path),
                          "--indexes", str(workdir / "indexes.json"), "--current", "1c2g")
+    return rc, stderr, path, out
+
+
+@pytest.mark.parametrize("mutate, message", [
+    pytest.param(lambda b: b["classifier"]["selection"]["selected"].append(15),
+                 "not all in 0..14", id="selected-range"),
+    pytest.param(lambda b: b["classifier"]["mean"].pop(),
+                 "feature sizes disagree", id="mean"),
+    pytest.param(lambda b: b["classifier"]["std"].append(1.0),
+                 "feature sizes disagree", id="std"),
+    pytest.param(lambda b: b["classifier"]["model"]["w1"].pop(),
+                 "feature sizes disagree", id="w1-rows"),
+    pytest.param(lambda b: b["classifier"]["model"].update(w1=[1.0]),
+                 "w1 has 1 dimensions", id="w1-vector"),
+    pytest.param(lambda b: b["classifier"]["model"]["b1"].pop(),
+                 "hidden sizes disagree", id="b1"),
+    pytest.param(_drop_w2_column, "class sizes disagree", id="w2-columns"),
+    pytest.param(lambda b: b["clustering"]["centroids"].pop(),
+                 "class sizes disagree", id="centroids"),
+    pytest.param(lambda b: b["clustering"]["assignments"].pop(),
+                 "training sizes disagree", id="assignments"),
+])
+def test_plan_rejects_inconsistent_bundle(mutate, message, workdir, tmp_path):
+    bundle = json.loads((workdir / "train" / "bundle.json").read_text())
+    mutate(bundle)
+    rc, stderr, _, out = _plan_with_bundle(bundle, workdir, tmp_path)
     assert rc == 1
     assert _one_error_line(stderr) and message in stderr, stderr
+    assert not (out / "plan.json").exists()
+
+
+def test_plan_refuses_a_v1_bundle_naming_the_schema(workdir, tmp_path):
+    # The v1 layout: the classifier in a map keyed by its base, tagged with
+    # its kind and class count, and its selection copied to the top level.
+    bundle = json.loads((workdir / "train" / "bundle.json").read_text())
+    classifier = bundle.pop("classifier")
+    selection = classifier["selection"]
+    selection["lambda"] = selection.pop("lam")
+    bundle.update(schema="model-bundle/v1", selection=selection, classifiers={
+        "6c8g": {**classifier, "kind": "mlp", "n_classes": TINY.k}})
+    bundle["clustering"]["k"] = TINY.k
+    rc, stderr, path, out = _plan_with_bundle(bundle, workdir, tmp_path)
+    assert (rc, stderr) == (1, f'error: {path}: bundle.schema needs "model-bundle/v2", '
+                               'got "model-bundle/v1"\n')
     assert not (out / "plan.json").exists()
 
 
@@ -595,6 +602,12 @@ def test_plan_rejects_inconsistent_bundle(mutate, message, workdir, tmp_path):
                                "profile": InterferenceProfile.zero().to_json()}
                               for i in (1, 2)]}]},
      "node row 0: deployed tenants hold more than the used resources"),
+    ({"nodes": [{"node_id": 0, "capacity": {"cores": 96, "memory_gb": 256},
+                 "used_core": 90}]},
+     "node row 0 has unknown keys ['used_core']"),
+    ({"count": 7, "memory": 64}, "node inventory has unknown keys ['memory']"),
+    ({"nodes": [{"node_id": 0, "capacity": {"cores": 96, "memory_gb": 256}}], "count": 1},
+     "node inventory has unknown keys ['count']"),
 ])
 def test_schedule_rejects_bad_node_rows(inventory, message, workdir, tmp_path):
     nodes = tmp_path / "nodes.json"
@@ -653,8 +666,8 @@ def _read_with(kind, text, workdir, out):
      "request row 0.profile.llc needs a JSON object, got [1]"),
     ("nodes", lambda d: d["nodes"][0].update(capacity=5),
      "node row 0.capacity needs a JSON object, got 5"),
-    ("bundle", lambda d: _classifier(d).update(mean=3.0),
-     "bundle.classifiers['6c8g'].mean needs a list, got 3.0"),
+    ("bundle", lambda d: d["classifier"].update(mean=3.0),
+     "bundle.classifier.mean needs a list, got 3.0"),
     ("bundle", lambda d: d["clustering"]["centroids"].__setitem__(0, {"x": 1}),
      "bundle.clustering.centroids[0] has no 'base_spec'"),
     ("counted", lambda d: d.update(count=3.7),
@@ -784,13 +797,17 @@ def test_estimate_refuses_a_spec_outside_the_region(spec, workdir, tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["sweep", "--bases", "6c"], "--bases: '6c' is not a spec like 6c8g or 6,8"),
+    (["sweep", "--bases", "6c"], "--bases: '6c' is not a spec like 6c8g"),
     (["sweep", "--ks", "3:x"], "--ks: '3:x' is not an integer or a lo:hi range"),
     (["estimate", "--workloads", "gen/workloads.json", "--spec", "6x8"],
      "--spec: '6x8' is not a spec like 6c8g or 6,8"),
     (["plan", "--bundle", "train/bundle.json", "--indexes", "indexes.json",
       "--policy", "scale-up", "--target", "1.5", "--current", "2c"],
      "--current: '2c' is not a spec like 6c8g or 6,8"),
+    (["sweep", "--bases", "6,8"], "--bases: '6' is not a spec like 6c8g"),
+    (["plan", "--bundle", "train/bundle.json", "--indexes", "indexes.json",
+      "--policy", "scale-up", "--target", "1.5", "--current", "6c8gg"],
+     "--current: '6c8gg' is not a spec like 6c8g or 6,8"),
 ])
 def test_malformed_flag_value_exits_1_naming_flag_and_value(argv, message, workdir,
                                                             tmp_path):

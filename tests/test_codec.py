@@ -66,14 +66,14 @@ def _first_instance(cls, root):
 
 
 @pytest.fixture(scope="module")
-def world(default_config, default_wset):
+def world(default_config, default_wset, default_bundle):
     workloads = default_wset.workloads
     indexes = observe_indexes(workloads[0], default_config.base_spec,
                               default_config.noise_sigma, default_wset.constants)
     simulation = simulate_colocated(
         [(w.workload_id, w.workload_id % 2, w.origin_spec, w.ground_truth_profile)
          for w in workloads[:6]], default_config.cluster_spec)
-    return (default_config, default_wset, indexes, simulation)
+    return (default_config, default_wset, indexes, simulation, default_bundle)
 
 
 @pytest.mark.parametrize("cls", JsonRecord.__subclasses__(), ids=lambda cls: cls.__name__)

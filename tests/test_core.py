@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import index_vector
 
 from capsched.core import (
     DEFAULT_CORE_LEVELS,
@@ -34,7 +35,7 @@ def test_resource_spec_parse_and_key():
 
 
 def test_resource_spec_rejects_bad_input():
-    for text in ("6x8", "6c", "c8g", ",", ""):
+    for text in ("6x8", "6c", "c8g", ",", "", "6c8gg", "6c8ggg"):
         with pytest.raises(ValueError, match=f"^{text!r} is not a spec like 6c8g or 6,8$"):
             ResourceSpec.parse(text)
     with pytest.raises(ValueError):
@@ -133,7 +134,7 @@ def test_surface_json_roundtrip():
 
 def test_index_vector_array_order_is_stable():
     values = [float(i) for i in range(len(INDEX_NAMES))]
-    vec = SystemIndexVector.from_array(np.array(values))
+    vec = index_vector(np.array(values))
     arr = vec.as_array()
     assert list(arr) == values
     for i, name in enumerate(INDEX_NAMES):
@@ -142,7 +143,7 @@ def test_index_vector_array_order_is_stable():
 
 def test_index_vector_json_roundtrip():
     values = np.arange(len(INDEX_NAMES), dtype=float) * 1.5
-    vec = SystemIndexVector.from_array(values)
+    vec = index_vector(values)
     clone = SystemIndexVector.from_json(vec.to_json())
     assert clone == vec
 

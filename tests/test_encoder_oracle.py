@@ -47,19 +47,35 @@ def _workload_set(wset):
 
 
 def _clustering(c):
-    return {"k": c.k,
-            "centroids": [s.to_json() for s in c.centroids],
+    return {"centroids": [s.to_json() for s in c.centroids],
             "assignments": list(c.assignments),
             "cost_history": list(c.cost_history)}
 
 
+def _mlp(m):
+    return {"w1": m.w1.tolist(), "b1": m.b1.tolist(),
+            "w2": m.w2.tolist(), "b2": m.b2.tolist()}
+
+
 def _classifier(c):
-    return {"base_spec": c.base_spec.to_json(), "kind": "mlp",
-            "selection": c.selection.to_json(),
+    s = c.selection
+    return {"base_spec": c.base_spec.to_json(),
+            "selection": {"lam": s.lam, "weights": list(s.weights),
+                          "selected": list(s.selected)},
             "mean": list(c.mean), "std": list(c.std),
-            "n_classes": c.n_classes, "model": c.model.to_json(),
+            "model": _mlp(c.model),
             "training_accuracy": c.training_accuracy,
             "epochs": c.epochs, "converged": c.converged}
+
+
+def _bundle(b):
+    return {"schema": "model-bundle/v2",
+            "seed": b.seed,
+            "region": b.region.to_json(),
+            "clustering": _clustering(b.clustering),
+            "classifier": _classifier(b.classifier),
+            "training_workload_ids": list(b.training_workload_ids),
+            "validation_workload_ids": list(b.validation_workload_ids)}
 
 
 def _placement(p):
@@ -116,6 +132,7 @@ def test_workload_set_matches_its_oracle(default_wset):
 
 
 def test_bundle_clustering_and_classifier_match_their_oracles(default_bundle):
+    _same(default_bundle.to_json(), _bundle(default_bundle))
     _same(default_bundle.clustering.to_json(), _clustering(default_bundle.clustering))
     _same(default_bundle.classifier.to_json(), _classifier(default_bundle.classifier))
 

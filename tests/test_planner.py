@@ -1,7 +1,10 @@
 """Planner pipeline: feature selection, clustering, classification, sizing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from conftest import index_vector
 
 from capsched import experiment, planner
 from capsched.core import (
@@ -9,7 +12,6 @@ from capsched.core import (
     InfeasibleError,
     ResourceSpec,
     ScalingSurface,
-    SystemIndexVector,
     canonical_json,
 )
 from capsched.planner import (
@@ -52,7 +54,7 @@ def _orthonormal_samples(beta_true):
     x = h + offsets
     # targets must be positive; the constant is removed by centering
     y = h @ beta_true + np.abs(beta_true).sum() + 1.0
-    return [(SystemIndexVector.from_array(row), float(t)) for row, t in zip(x, y)]
+    return [(index_vector(row), float(t)) for row, t in zip(x, y)]
 
 
 def test_lasso_matches_soft_threshold_oracle():
@@ -180,7 +182,7 @@ def test_lasso_path_raises_at_its_knot_cap(monkeypatch):
 def test_lasso_without_penalty_interpolates_when_samples_are_few():
     # n < p: the path stops growing at rank n - 1 and lam = 0 fits exactly.
     x, y = _random_problem(7, 6)
-    samples = [(SystemIndexVector.from_array(np.abs(row)), float(t))
+    samples = [(index_vector(np.abs(row)), float(t))
                for row, t in zip(x, y)]
     sel = select_features(samples, 0.0)
     assert sel == select_features(samples, 0.0)
@@ -205,7 +207,7 @@ def test_cv_selection_is_deterministic_and_on_grid():
     for _ in range(40):
         row = np.abs(rng.normal(size=15))
         row[10] += row[2] + 1.0  # cache_references must dominate cache_misses
-        vec = SystemIndexVector.from_array(row)
+        vec = index_vector(row)
         samples.append((vec, float(vec.as_array() @ beta_true) + 100.0))
     a = select_features_cv(samples, rng_seed=11)
     b = select_features_cv(samples, rng_seed=11)
@@ -273,7 +275,7 @@ def _blob_training(rng_seed=0, per_class=12):
     for cls, center in enumerate(centers):
         for _ in range(per_class):
             row = center + rng.normal(scale=5.0, size=15)
-            training.append((SystemIndexVector.from_array(np.abs(row)), cls))
+            training.append((index_vector(np.abs(row)), cls))
     return training
 
 
@@ -373,15 +375,6 @@ def test_classifier_roundtrip_preserves_predictions():
     for vec, _ in training:
         assert clone.predict(vec) == clf.predict(vec)
     assert canonical_json(clone.to_json()) == canonical_json(clf.to_json())
-
-
-def test_classifier_from_json_rejects_unknown_kind():
-    clf = train_classifier(_blob_training(), BASE, _FULL_SELECTION)
-    obj = clf.to_json()
-    assert obj["kind"] == "mlp"
-    obj["kind"] = "nearest_centroid"
-    with pytest.raises(ValueError, match="unknown classifier kind 'nearest_centroid'"):
-        type(clf).from_json(obj)
 
 
 def test_train_classifier_validates_inputs():
@@ -522,17 +515,45 @@ def test_model_bundle_rejects_foreign_schema(tmp_path):
         ModelBundle.from_json({"schema": "something-else"})
 
 
-def test_model_bundle_file_keys_its_one_classifier_by_base(small_bundle):
-    obj = small_bundle.to_json()
-    assert list(obj["classifiers"]) == [small_bundle.base_spec.key]
-    assert small_bundle.base_spec == small_bundle.classifier.base_spec
+def _drop_last(values):
+    return values[:-1]
 
 
-@pytest.mark.parametrize("keys", [[], ["6c8g", "1c2g"], ["1c2g"]])
-def test_model_bundle_rejects_other_than_one_classifier_keyed_by_base(
-        small_bundle, keys):
-    obj = small_bundle.to_json()
-    [classifier] = obj["classifiers"].values()
-    obj["classifiers"] = {key: classifier for key in keys}
-    with pytest.raises(ValueError, match="one classifier, keyed by its base"):
-        ModelBundle.from_json(obj)
+def _mlp_without_first(model, name):
+    arrays = {n: getattr(model, n) for n in ("w1", "b1", "w2", "b2")}
+    arrays[name] = arrays[name][1:]
+    return planner._Mlp(**arrays)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda c: replace(c, mean=_drop_last(c.mean)),
+                 "feature sizes disagree", id="mean"),
+    pytest.param(lambda c: replace(c, std=_drop_last(c.std)),
+                 "feature sizes disagree", id="std"),
+    pytest.param(lambda c: replace(c, selection=replace(
+        c.selection, selected=c.selection.selected[1:])),
+                 "feature sizes disagree", id="selected"),
+    pytest.param(lambda c: replace(c, model=_mlp_without_first(c.model, "b1")),
+                 "hidden sizes disagree", id="b1"),
+    pytest.param(lambda c: replace(c, model=_mlp_without_first(c.model, "b2")),
+                 "class sizes disagree", id="b2"),
+    pytest.param(lambda c: replace(c, selection=replace(c.selection, selected=(0, 15))),
+                 r"selected indexes \[0, 15\] are not all in 0..14", id="selected-range"),
+])
+def test_classifier_built_in_memory_checks_its_sizes(small_bundle, edit, message):
+    with pytest.raises(ValueError, match=message):
+        edit(small_bundle.classifier)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda b: replace(b, clustering=replace(
+        b.clustering, centroids=_drop_last(b.clustering.centroids))),
+                 "class sizes disagree: classes 5, centroids 4", id="centroids"),
+    pytest.param(lambda b: replace(b, training_workload_ids=_drop_last(
+        b.training_workload_ids)),
+                 "training sizes disagree: assignments 12, training workload ids 11",
+                 id="assignments"),
+])
+def test_model_bundle_built_in_memory_checks_its_sizes(small_bundle, edit, message):
+    with pytest.raises(ValueError, match=message):
+        edit(small_bundle)

@@ -54,6 +54,8 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _out_dir(args) -> Path:
+    """The --out directory, created. Commands call it once their inputs
+    have loaded and their work is done, so a fault leaves no directory."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -106,8 +108,8 @@ def _load_or_generate(args, config: ExperimentConfig) -> WorkloadSet:
 
 def cmd_gen(args) -> int:
     config = _config_from_args(args)
-    out = _out_dir(args)
     wset = build_workload_set(config)
+    out = _out_dir(args)
     wset.save(out / "workloads.json")
     print(f"wrote {out / 'workloads.json'}: {len(wset.archetypes)} archetypes, "
           f"{len(wset.workloads)} workloads")
@@ -116,11 +118,11 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
-    out = _out_dir(args)
     wset = _load_or_generate(args, config)
     bundle = train_bundle(config, wset)
-    bundle.save(out / "bundle.json")
     report = evaluate_validation(config, wset, bundle)
+    out = _out_dir(args)
+    bundle.save(out / "bundle.json")
     write_json(out / "validation.json", report.to_json())
     clf = bundle.classifier
     print(f"wrote {out / 'bundle.json'} "
@@ -132,10 +134,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    out = _out_dir(args)
     constants = (WorkloadSet.load(args.workloads).constants if args.workloads
                  else NodeConstants())
     tracks = stress_reference_tracks(constants)
+    out = _out_dir(args)
     write_json(out / "reference_tracks.json", tracks.to_json())
     print(f"wrote {out / 'reference_tracks.json'}: {len(tracks.levels)} stress levels")
     return 0
@@ -144,7 +146,6 @@ def cmd_calibrate(args) -> int:
 def cmd_plan(args) -> int:
     config = _config_from_args(args)
     current = _flag("--current", ResourceSpec.parse, args.current)
-    out = _out_dir(args)
     bundle = ModelBundle.load(args.bundle)
     if bundle.base_spec != config.base_spec:
         raise ValueError(f"config base {config.base_spec.key} differs from "
@@ -167,6 +168,7 @@ def cmd_plan(args) -> int:
         "target_speedup": args.target,
         "performance_tolerance": tolerance,
     }
+    out = _out_dir(args)
     try:
         rec = plan_capacity(request, surface)
     except InfeasibleError as exc:
@@ -189,7 +191,6 @@ def cmd_plan(args) -> int:
 def cmd_estimate(args) -> int:
     config = _config_from_args(args)
     spec = _flag("--spec", ResourceSpec.parse, args.spec) if args.spec else None
-    out = _out_dir(args)
     wset = WorkloadSet.load(args.workloads)
     if spec:
         wset.region.require(spec)
@@ -200,12 +201,12 @@ def cmd_estimate(args) -> int:
                              f"workload set's nodes have {wset.constants.llc_ways}")
     else:
         tracks = stress_reference_tracks(wset.constants)
-    records = []
-    for w in wset.workloads:
-        at = spec or w.origin_spec
-        probe = probe_for(w, at, wset.constants,
-                          noise_sigma=config.probe_noise, seed=w.noise_seed)
-        records.append(request_json(w.workload_id, at, build_profile(probe, tracks)))
+    specs = [spec or w.origin_spec for w in wset.workloads]
+    probe = probe_for(wset.workloads, specs, wset.constants, noise_sigma=config.probe_noise,
+                      seeds=[w.noise_seed for w in wset.workloads])
+    records = [request_json(w.workload_id, at, profile) for w, at, profile
+               in zip(wset.workloads, specs, build_profile(probe, tracks))]
+    out = _out_dir(args)
     write_json(out / "profiles.json",
                {"schema": "profiles/v1", "profiles": records})
     print(f"wrote {out / 'profiles.json'}: {len(records)} profiles")
@@ -261,7 +262,6 @@ def _load_nodes(args, config: ExperimentConfig) -> list[NodeState]:
 
 def cmd_schedule(args) -> int:
     config = _config_from_args(args)
-    out = _out_dir(args)
     requests = _load_requests(args.requests)
     nodes = _load_nodes(args, config)
     schedule_config = ScheduleConfig(policy=args.policy, scaler=args.scaler
@@ -272,6 +272,7 @@ def cmd_schedule(args) -> int:
         print(f"capacity exhausted: {exc}", file=sys.stderr)
         return 2
     lines = [json.dumps(p.to_json(), sort_keys=True) for p in placements]
+    out = _out_dir(args)
     (out / "placements.jsonl").write_text("\n".join(lines) + "\n",
                                           encoding="utf-8")
     print(f"wrote {out / 'placements.jsonl'}: {len(placements)} placements "
@@ -281,7 +282,6 @@ def cmd_schedule(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
-    out = _out_dir(args)
     # The simulator's cluster has one capacity and starts empty.
     nodes = _load_nodes(args, config)
     cap = nodes[0].capacity
@@ -320,6 +320,7 @@ def cmd_simulate(args) -> int:
         report = simulate_colocated(list(tenants.values()), cluster)
     except ValueError as exc:
         raise ValueError(f"{args.placements}: {exc}") from None
+    out = _out_dir(args)
     write_json(out / "simulation.json",
                {"schema": "simulation-report/v1", **report.to_json()})
     _write_csv(out / "simulation.csv", (e.to_json() for e in report.entries))
@@ -338,10 +339,9 @@ def _emit_report(out: Path, name: str, report, csv_columns=None) -> None:
 
 def cmd_scenario1(args) -> int:
     config = _config_from_args(args)
-    out = _out_dir(args)
     wset = _load_or_generate(args, config)
     report = run_scenario1(config, wset, train_bundle(config, wset))
-    _emit_report(out, "scenario1", report)
+    _emit_report(_out_dir(args), "scenario1", report)
     s = report.summary
     print(f"scenario1: {s['optimal']}/{s['feasible']} optimal, "
           f"{s['satisfied']}/{s['feasible']} satisfied, "
@@ -351,10 +351,9 @@ def cmd_scenario1(args) -> int:
 
 def cmd_scenario2(args) -> int:
     config = _config_from_args(args)
-    out = _out_dir(args)
     wset = _load_or_generate(args, config)
     report = run_scenario2(config, wset, train_bundle(config, wset))
-    _emit_report(out, "scenario2", report)
+    _emit_report(_out_dir(args), "scenario2", report)
     s = report.summary
     print(f"scenario2: {s['preserved']}/{s['workloads']} preserved, "
           f"core reduction {s['core_reduction_pct']:.1f}%, "
@@ -364,10 +363,9 @@ def cmd_scenario2(args) -> int:
 
 def cmd_colocate(args) -> int:
     config = _config_from_args(args)
-    out = _out_dir(args)
     wset = _load_or_generate(args, config)
     report = run_colocation(config, wset, train_bundle(config, wset))
-    _emit_report(out, "colocation", report)
+    _emit_report(_out_dir(args), "colocation", report)
     s = report.summary
     print(f"colocate: {s['unfairness_wins']}/{s['trials'] - s['aborted']} "
           f"unfairness wins, aborted {s['aborted']}")
@@ -406,10 +404,9 @@ def cmd_sweep(args) -> int:
     ks = _flag("--ks", _parse_int_list, args.ks) if args.ks else None
     bases = (_flag("--bases", lambda t: [_parse_base(b) for b in t.split(",")],
                    args.bases) if args.bases else None)
-    out = _out_dir(args)
     report = run_hyperparam_sweep(config, _load_or_generate(args, config),
                                   ks=ks, bases=bases)
-    _emit_report(out, "sweep", report,
+    _emit_report(_out_dir(args), "sweep", report,
                  csv_columns=["k", "base", "mean_error", "max_error"])
     s = report.summary
     print(f"sweep: {s['points']} points, best k={s['best_k']} "
@@ -420,9 +417,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_loocv(args) -> int:
     config = _config_from_args(args)
-    out = _out_dir(args)
     report = run_loocv(config, _load_or_generate(args, config))
-    _emit_report(out, "loocv", report)
+    _emit_report(_out_dir(args), "loocv", report)
     s = report.summary
     print(f"loocv: {s['rounds']} rounds, mean={s['mean_error']:.4f} "
           f"max={s['max_error']:.4f}, {s['capped_fits']} fits capped at "

@@ -19,6 +19,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import struct
 import sys
 import types
@@ -356,10 +357,11 @@ class ScalingSurface:
         base = values.item(self._index(self.base_spec))
         if not math.isclose(base, 1.0, rel_tol=0, abs_tol=1e-9):
             raise ValueError(f"speedup at base must be 1.0, got {base}")
-        bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
-        if len(bad):
-            raise ValueError(f"speedup at {self.region.specs()[bad[0]].key} must be "
-                             f"finite positive, got {values.item(bad[0])}")
+        good = (values > 0) & (values < np.inf)
+        if not good.all():
+            bad = np.flatnonzero(~good)[0]
+            raise ValueError(f"speedup at {self.region.specs()[bad].key} must be "
+                             f"finite positive, got {values.item(bad)}")
 
     def __eq__(self, other):
         if not isinstance(other, ScalingSurface):
@@ -435,18 +437,18 @@ class SystemIndexVector(JsonRecord):
     dirty_memory: float
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"index {f.name} must be finite non-negative, got {v}")
+        for name, v in zip(INDEX_NAMES, _index_values(self)):
+            if not 0 <= v < math.inf:
+                raise ValueError(f"index {name} must be finite non-negative, got {v}")
         if self.cache_misses > self.cache_references + 1e-9:
             raise ValueError("cache_misses cannot exceed cache_references")
 
     def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in INDEX_NAMES], dtype=float)
+        return np.array(_index_values(self), dtype=float)
 
 
 INDEX_NAMES = tuple(f.name for f in fields(SystemIndexVector))
+_index_values = operator.attrgetter(*INDEX_NAMES)
 
 
 class SharedResource(enum.Enum):

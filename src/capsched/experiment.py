@@ -59,11 +59,11 @@ from .simulator import ClusterSpec, SlowdownReport, simulate_colocated
 from .workload_synth import (
     Workload,
     WorkloadSet,
-    make_workload,
-    observe_indexes,
+    make_workload_batch,
+    observe_indexes_batch,
     probe_for,
     tps_at,
-    true_profile_at,
+    true_profile_batch,
 )
 
 
@@ -199,13 +199,6 @@ def build_workload_set(config: ExperimentConfig) -> WorkloadSet:
         footprint_noise=config.footprint_noise)
 
 
-def _predict(config: ExperimentConfig, wset: WorkloadSet, bundle: ModelBundle,
-             workload: Workload) -> ScalingSurface:
-    """The bundle's surface for a workload observed at the bundle's base."""
-    return bundle.predict(observe_indexes(workload, bundle.base_spec,
-                                          config.noise_sigma, wset.constants))
-
-
 @dataclass(frozen=True)
 class _Seen:
     """A workload as the planner sees it at one base config."""
@@ -220,15 +213,15 @@ def _observe(config: ExperimentConfig, wset: WorkloadSet, ids: Sequence[int],
     """Each workload of ids observed at base, with its true TPS there and
     its ground-truth surface rebased there.
 
-    observe_indexes is deterministic in (workload, spec), so a study
-    observes each workload once and shares the reading across its fits.
+    A reading is deterministic in (workload, spec), so a study observes
+    each workload once, all of them in one batch, and shares the reading
+    across its fits.
     """
-    seen = {}
-    for i in ids:
-        w = wset.workload_by_id(i)
-        seen[i] = _Seen(observe_indexes(w, base, config.noise_sigma, wset.constants),
-                        tps_at(w, base), w.ground_truth_surface.rebase(base))
-    return seen
+    workloads = [wset.workload_by_id(i) for i in ids]
+    readings = observe_indexes_batch(workloads, [base] * len(workloads), config.noise_sigma,
+                                     wset.constants)
+    return {i: _Seen(indexes, tps_at(w, base), w.ground_truth_surface.rebase(base))
+            for i, w, indexes in zip(ids, workloads, readings)}
 
 
 @dataclass
@@ -347,11 +340,11 @@ def run_scenario1(config: ExperimentConfig, wset: WorkloadSet,
     """
     origin = ResourceSpec(*config.scenario1_origin)
     wset.region.require(origin)
+    seen = _observe(config, wset, bundle.validation_workload_ids, bundle.base_spec)
     rows = []
     for wid in bundle.validation_workload_ids:
-        w = wset.workload_by_id(wid)
-        predicted = _predict(config, wset, bundle, w)
-        truth = w.ground_truth_surface
+        predicted = bundle.predict(seen[wid].indexes)
+        truth = wset.workload_by_id(wid).ground_truth_surface
         for factor in config.scale_factors:
             request = PlanningRequest(policy="scale-up", current_spec=origin,
                                       target_speedup=float(factor),
@@ -416,11 +409,11 @@ def run_scenario2(config: ExperimentConfig, wset: WorkloadSet,
     """
     origin = ResourceSpec(*config.scenario2_origin)
     wset.region.require(origin)
+    seen = _observe(config, wset, bundle.validation_workload_ids, bundle.base_spec)
     rows = []
     for wid in bundle.validation_workload_ids:
-        w = wset.workload_by_id(wid)
-        predicted = _predict(config, wset, bundle, w)
-        truth = w.ground_truth_surface
+        predicted = bundle.predict(seen[wid].indexes)
+        truth = wset.workload_by_id(wid).ground_truth_surface
         request = PlanningRequest(policy="scale-down", current_spec=origin,
                                   performance_tolerance=config.epsilon,
                                   cost_weights=config.cost_weights)
@@ -487,20 +480,19 @@ def _draw_tenants(config: ExperimentConfig, wset: WorkloadSet, trial: int,
         extra = rng.permutation(n_arch)[:remainder]
         picks.extend(int(i) for i in extra)
     order = rng.permutation(len(picks))
-    tenants = []
+    archetypes, noise_seeds, origins = [], [], []
     for j in range(config.tenants_per_trial):
-        archetype = wset.archetypes[picks[int(order[j])]]
-        noise_seed = int(rng.integers(0, 2 ** 62))
-        origin = ResourceSpec(
+        archetypes.append(wset.archetypes[picks[int(order[j])]])
+        noise_seeds.append(int(rng.integers(0, 2 ** 62)))
+        origins.append(ResourceSpec(
             cores=int(rng.integers(config.origin_cores[0],
                                    config.origin_cores[1] + 1)),
             memory_gb=int(rng.integers(config.origin_memory_gb[0],
-                                       config.origin_memory_gb[1] + 1)))
-        tenants.append(make_workload(
-            archetype, j, noise_seed, origin, wset.region, wset.constants,
-            wset.base_spec, wset.surface_noise, wset.footprint_noise,
-            reference_tracks=references))
-    return tenants
+                                       config.origin_memory_gb[1] + 1))))
+    return make_workload_batch(
+        archetypes, range(config.tenants_per_trial), noise_seeds, origins, wset.region,
+        wset.constants, wset.base_spec, wset.surface_noise, wset.footprint_noise,
+        reference_tracks=references)
 
 
 def run_colocation(config: ExperimentConfig, wset: WorkloadSet,
@@ -541,18 +533,19 @@ def run_colocation(config: ExperimentConfig, wset: WorkloadSet,
         ids = [f"t{trial}-w{w.workload_id:02d}" for w in tenants]
         row: dict = {"trial": trial, "aborted": False, "abort_reason": None}
         try:
-            ursa_arm = []
-            for w in tenants:
-                request = PlanningRequest(policy="scale-down",
-                                          current_spec=w.origin_spec,
-                                          performance_tolerance=config.epsilon,
-                                          cost_weights=config.cost_weights)
-                spec = plan_capacity(request, _predict(config, wset, bundle, w))
-                probe = probe_for(w, spec, wset.constants,
-                                  noise_sigma=config.probe_noise, seed=w.noise_seed)
-                ursa_arm.append((spec, build_profile(probe, references),
-                                 true_profile_at(w, spec, wset.constants, references)))
-            ursa = _deploy(POLICY_URSA, ids, ursa_arm)
+            seen = observe_indexes_batch(tenants, [bundle.base_spec] * len(tenants),
+                                         config.noise_sigma, wset.constants)
+            specs = [plan_capacity(PlanningRequest(policy="scale-down",
+                                                   current_spec=w.origin_spec,
+                                                   performance_tolerance=config.epsilon,
+                                                   cost_weights=config.cost_weights),
+                                   bundle.predict(indexes))
+                     for w, indexes in zip(tenants, seen)]
+            probe = probe_for(tenants, specs, wset.constants, noise_sigma=config.probe_noise,
+                              seeds=[w.noise_seed for w in tenants])
+            ursa_arm = zip(specs, build_profile(probe, references),
+                           true_profile_batch(tenants, specs, wset.constants, references))
+            ursa = _deploy(POLICY_URSA, ids, list(ursa_arm))
             lrp = _deploy(POLICY_LRP, ids, [(w.origin_spec, w.ground_truth_profile,
                                              w.ground_truth_profile) for w in tenants])
         except CapacityExhaustedError as exc:

@@ -509,6 +509,10 @@ class SurfaceClassifier(JsonRecord):
         _same_sizes("hidden", w1_columns=m.w1.shape[1], b1=len(m.b1),
                     w2_rows=m.w2.shape[0])
         _same_sizes("class", w2_columns=m.w2.shape[1], b2=len(m.b2))
+        # The selection and statistics as arrays, once, for _features; not
+        # fields, so equality and the JSON form stay the fields' alone.
+        object.__setattr__(self, "_scaling", (np.array(self.selection.selected, dtype=int),
+                                              np.array(self.mean), np.array(self.std)))
 
     @property
     def n_classes(self) -> int:
@@ -516,10 +520,10 @@ class SurfaceClassifier(JsonRecord):
 
     def _features(self, indexes: SystemIndexVector) -> np.ndarray:
         raw = indexes.as_array()
-        if not np.all(np.isfinite(raw)):
+        if not np.isfinite(raw).all():
             raise ValueError("index vector contains non-finite values")
-        sub = raw[list(self.selection.selected)]
-        return (sub - np.array(self.mean)) / np.array(self.std)
+        selected, mean, std = self._scaling
+        return (raw[selected] - mean) / std
 
     def predict(self, indexes: SystemIndexVector) -> int:
         feats = self._features(indexes)[None, :]

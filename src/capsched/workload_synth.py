@@ -32,8 +32,8 @@ Index signatures are built from two ingredient groups:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Literal
+from dataclasses import dataclass
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -59,6 +59,8 @@ from .estimator import (
     ResourceFootprint,
     ReferenceTracks,
     SimulatedProbe,
+    footprint_table,
+    kmps_tracks,
     pressure_level,
     rate_capacity,
     stress_reference_tracks,
@@ -73,12 +75,16 @@ __all__ = [
     "activity",
     "generate_archetypes",
     "generate_workloads",
+    "make_workload",
+    "make_workload_batch",
     "observe_indexes",
+    "observe_indexes_batch",
     "probe_for",
     "raw_throughput",
     "tabulate_surface",
     "tps_at",
     "true_profile_at",
+    "true_profile_batch",
 ]
 
 FAMILIES = ("compute", "cache", "io", "network", "balanced")
@@ -231,7 +237,7 @@ def tabulate_surface(params: ArchetypeParams, region: ConfigRegion,
     core_terms = [_core_term(params, c) for c in region.core_levels]
     memory_terms = [_memory_term(params, m) for m in region.memory_levels_gb]
     return ScalingSurface(region=region, base_spec=base_spec,
-                          values=np.outer(core_terms, memory_terms) / base)
+                          values=np.multiply.outer(core_terms, memory_terms) / base)
 
 
 def tps_at(workload: Workload, spec: ResourceSpec) -> float:
@@ -242,78 +248,127 @@ def tps_at(workload: Workload, spec: ResourceSpec) -> float:
                          / raw_throughput(p, base.cores, base.memory_gb))
 
 
-def _signature(params: ArchetypeParams, region: ConfigRegion,
-               constants: NodeConstants, spec: ResourceSpec) -> np.ndarray:
-    f = params.footprint
-    c, m = float(spec.cores), float(spec.memory_gb)
-    c_lo, c_hi = float(region.core_levels[0]), float(region.core_levels[-1])
-    m_lo, m_hi = float(region.memory_levels_gb[0]), float(region.memory_levels_gb[-1])
-    # Shape visibility: zero at the region's lower corner, where one
-    # core and minimal memory flatten every archetype's behavior.
-    v_c = (c - c_lo) / (c_hi - c_lo) if c_hi > c_lo else 0.0
-    v_m = (m - m_lo) / (m_hi - m_lo) if m_hi > m_lo else 0.0
-    u_c = min(c, params.sat_cores)
-    u_m = min(m, params.sat_memory)
-    a = activity(params, region, spec)
-    kshare = f.kmps_base / (constants.levels * constants.kmps_per_level)
-    mshare = f.membw_gbps / constants.phy_membw_gbps
-    ishare = f.iops / (constants.levels * constants.iops_per_level)
-    rf = params.read_frac
-    alpha, beta = params.alpha, params.beta
+def _signatures(workloads: Sequence[Workload], specs: Sequence[ResourceSpec],
+                constants: NodeConstants) -> np.ndarray:
+    """The noise-free indexes of each workload deployed at its spec, one
+    row each, columns in INDEX_NAMES order."""
+    rows = []
+    for workload, spec in zip(workloads, specs, strict=True):
+        region = workload.ground_truth_surface.region
+        if not region.contains(spec):
+            raise OutOfRegionError(f"{spec} outside region")
+        params, f = workload.params, workload.params.footprint
+        c, m = float(spec.cores), float(spec.memory_gb)
+        c_lo, c_hi = float(region.core_levels[0]), float(region.core_levels[-1])
+        m_lo, m_hi = float(region.memory_levels_gb[0]), float(region.memory_levels_gb[-1])
+        # Shape visibility: zero at the region's lower corner, where one
+        # core and minimal memory flatten every archetype's behavior.
+        v_c = (c - c_lo) / (c_hi - c_lo) if c_hi > c_lo else 0.0
+        v_m = (m - m_lo) / (m_hi - m_lo) if m_hi > m_lo else 0.0
+        rows.append((c, m, v_c, v_m, activity(params, region, spec), params.alpha,
+                     params.beta, params.sat_cores, params.sat_memory, params.read_frac,
+                     f.kmps_base, f.membw_gbps, f.iops))
+    (c, m, v_c, v_m, a, alpha, beta, sat_cores, sat_memory, rf, kmps_base, membw_gbps,
+     iops) = np.array(rows, dtype=float).reshape(-1, 13).T
+    u_c = np.minimum(c, sat_cores)
+    u_m = np.minimum(m, sat_memory)
+    kshare = kmps_base / (constants.levels * constants.kmps_per_level)
+    mshare = membw_gbps / constants.phy_membw_gbps
+    ishare = iops / (constants.levels * constants.iops_per_level)
 
     values = {
         "ipc": 0.25 + 5.0 * alpha * v_c + 0.4 * beta * v_m,
         "cpu_usage": u_c * (0.40 + 0.60 * alpha * v_c),
         "memory_usage": u_m * (0.45 + 0.55 * beta * v_m),
         "cache_references": a * (25.0 + 150.0 * kshare + 60.0 * mshare),
-        "dtlb_load_misses": a * (5.0 + 45.0 * (params.sat_cores / 12.0) * v_c
+        "dtlb_load_misses": a * (5.0 + 45.0 * (sat_cores / 12.0) * v_c
                                  + 15.0 * kshare),
-        "dtlb_store_misses": a * (4.0 + 40.0 * (params.sat_memory / 16.0) * v_m
+        "dtlb_store_misses": a * (4.0 + 40.0 * (sat_memory / 16.0) * v_m
                                   + 12.0 * (1.0 - rf)),
         "page_fault": a * (1.5 + 45.0 * beta * v_m + 6.0 * mshare),
         "node_loads": a * (3.0 + 50.0 * mshare * rf + 40.0 * beta * v_m),
         "node_stores": a * (2.0 + 35.0 * mshare * (1.0 - rf) + 40.0 * alpha * v_c),
         "dirty_memory": u_m * (18.0 + 160.0 * (1.0 - rf) * beta * v_m
                                + 90.0 * ishare * (1.0 - rf)),
-        "io_serviced_read": a * f.iops * rf,
-        "io_serviced_write": a * f.iops * (1.0 - rf),
+        "io_serviced_read": a * iops * rf,
+        "io_serviced_write": a * iops * (1.0 - rf),
     }
-    values["cache_misses"] = values["cache_references"] * min(0.9, 0.06 + 0.5 * kshare)
+    values["cache_misses"] = values["cache_references"] * np.minimum(0.9, 0.06 + 0.5 * kshare)
     values["io_read_bytes"] = values["io_serviced_read"] * 16384.0
     values["io_write_bytes"] = values["io_serviced_write"] * 16384.0
-    return np.array([values[name] for name in INDEX_NAMES], dtype=float)
+    return np.column_stack([values[name] for name in INDEX_NAMES])
+
+
+_CACHE_MISSES = INDEX_NAMES.index("cache_misses")
+_CACHE_REFERENCES = INDEX_NAMES.index("cache_references")
+
+
+def observe_indexes_batch(workloads: Sequence[Workload], specs: Sequence[ResourceSpec],
+                          noise_sigma: float,
+                          constants: NodeConstants) -> list[SystemIndexVector]:
+    """Measure the 15 indexes of each workload deployed at its spec on a
+    node of the given constants, all in one block.
+
+    Each reading is deterministic in (noise_seed, spec): re-observing
+    the same deployment yields the same reading, different specs get
+    fresh noise, drawn from a generator of the workload's own.
+    Components stay non-negative and cache_misses is clamped under
+    cache_references after noise.
+    """
+    if noise_sigma < 0:
+        raise ValueError("noise_sigma must be non-negative")
+    block = _signatures(workloads, specs, constants)
+    if noise_sigma > 0:
+        z = np.array([np.random.default_rng(np.random.SeedSequence(
+            [w.noise_seed, spec.cores, spec.memory_gb])).standard_normal(len(INDEX_NAMES))
+            for w, spec in zip(workloads, specs)])
+        block = block * np.exp(noise_sigma * z)
+    block = np.maximum(block, 0.0)
+    block[:, _CACHE_MISSES] = np.minimum(block[:, _CACHE_MISSES], block[:, _CACHE_REFERENCES])
+    return [SystemIndexVector(*row) for row in block.tolist()]
 
 
 def observe_indexes(workload: Workload, spec: ResourceSpec, noise_sigma: float,
                     constants: NodeConstants) -> SystemIndexVector:
-    """Measure the 15 indexes of a workload deployed at spec on a node of
-    the given constants.
+    """observe_indexes_batch of one workload."""
+    return observe_indexes_batch([workload], [spec], noise_sigma, constants)[0]
 
-    Deterministic in (noise_seed, spec): re-observing the same
-    deployment yields the same reading, different specs get fresh
-    noise. Components stay non-negative and cache_misses is clamped
-    under cache_references after noise.
+
+def _true_profiles(params: Sequence[ArchetypeParams], activities: Sequence[float],
+                   constants: NodeConstants,
+                   reference_tracks: ReferenceTracks) -> list[InterferenceProfile]:
+    """Ground-truth interference profiles of parameter sets at activities.
+
+    The kmps tracks and their nearest reference levels are one array
+    step for all of them; the rest is a few scalar steps each.
     """
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be non-negative")
-    region = workload.ground_truth_surface.region
-    if not region.contains(spec):
-        raise OutOfRegionError(f"{spec} outside region")
-    vec = _signature(workload.params, region, constants, spec)
-    if noise_sigma > 0:
-        rng = np.random.default_rng(np.random.SeedSequence(
-            [workload.noise_seed, spec.cores, spec.memory_gb]))
-        vec = vec * np.exp(noise_sigma * rng.standard_normal(len(vec)))
-    vec = np.maximum(vec, 0.0)
-    named = dict(zip(INDEX_NAMES, vec))
-    named["cache_misses"] = min(named["cache_misses"], named["cache_references"])
-    return SystemIndexVector(**{k: float(v) for k, v in named.items()})
+    n, w = constants.levels, constants.llc_ways
+    footprints = [p.footprint for p in params]
+    kmps = kmps_tracks(footprint_table(footprints), np.array(activities, dtype=float), w)
+    rate_fields = [(rate, sens, rate_capacity(constants, resource))
+                   for resource, (rate, sens) in RATE_FIELDS.items()]
+    profiles = []
+    for a, f, p_llc in zip(activities, footprints,
+                           reference_tracks.nearest_levels(kmps).tolist()):
+        if a * f.kmps_base > 0 and f.demand_slope > 0:
+            crossing = math.floor(f.demand_ways - DEGRADATION_THRESHOLD / f.demand_slope)
+            s_ways = min(w - 1, max(0, crossing))
+        else:
+            s_ways = 0
+        levels = [PressureSensitivity(p_llc, ways_to_level(s_ways, w, n))]
+        for rate, sens, capacity in rate_fields:
+            usage = a * getattr(f, rate)
+            levels.append(PressureSensitivity(pressure_level(usage, capacity, n),
+                                              getattr(f, sens) if usage > 0 else 0))
+        # RATE_FIELDS follows the profile's field order after llc.
+        profiles.append(InterferenceProfile(*levels))
+    return profiles
 
 
-def true_profile_at(workload: Workload, spec: ResourceSpec,
-                    constants: NodeConstants,
-                    reference_tracks: ReferenceTracks) -> InterferenceProfile:
-    """Ground-truth interference profile at a deployment spec.
+def true_profile_batch(workloads: Sequence[Workload], specs: Sequence[ResourceSpec],
+                       constants: NodeConstants,
+                       reference_tracks: ReferenceTracks) -> list[InterferenceProfile]:
+    """Ground-truth interference profile of each workload at its deployment spec.
 
     Pressures follow the usage rates scaled by activity at spec; LLC
     pressure is defined as the level of the nearest of reference_tracks,
@@ -321,36 +376,27 @@ def true_profile_at(workload: Workload, spec: ResourceSpec,
     generative levels, except that a resource the workload does not use
     at all cannot be sensitive.
     """
-    params = workload.params
-    f = params.footprint
-    region = workload.ground_truth_surface.region
-    a = activity(params, region, spec)
-    n = constants.levels
-    w = constants.llc_ways
-    p_llc = reference_tracks.nearest_level([a * f.kmps_at(ways) for ways in range(1, w + 1)])
-    if a * f.kmps_base > 0 and f.demand_slope > 0:
-        crossing = math.floor(f.demand_ways - DEGRADATION_THRESHOLD / f.demand_slope)
-        s_ways = min(w - 1, max(0, crossing))
-    else:
-        s_ways = 0
-    llc = PressureSensitivity(p_llc, ways_to_level(s_ways, w, n))
-
-    rates = {}
-    for resource, (rate, sens) in RATE_FIELDS.items():
-        usage = a * getattr(f, rate)
-        rates[resource.value] = PressureSensitivity(
-            pressure_level(usage, rate_capacity(constants, resource), n),
-            getattr(f, sens) if usage > 0 else 0)
-    return InterferenceProfile(llc=llc, **rates)
+    return _true_profiles([w.params for w in workloads],
+                          [activity(w.params, w.ground_truth_surface.region, spec)
+                           for w, spec in zip(workloads, specs, strict=True)],
+                          constants, reference_tracks)
 
 
-def probe_for(workload: Workload, spec: ResourceSpec, constants: NodeConstants,
-              noise_sigma: float = 0.0, seed: int = 0) -> SimulatedProbe:
-    """Simulated probe for a workload deployed solo at spec."""
-    region = workload.ground_truth_surface.region
-    return SimulatedProbe(constants, workload.params.footprint,
-                          activity=activity(workload.params, region, spec),
-                          noise_sigma=noise_sigma, seed=seed)
+def true_profile_at(workload: Workload, spec: ResourceSpec,
+                    constants: NodeConstants,
+                    reference_tracks: ReferenceTracks) -> InterferenceProfile:
+    """true_profile_batch of one workload."""
+    return true_profile_batch([workload], [spec], constants, reference_tracks)[0]
+
+
+def probe_for(workloads: Sequence[Workload], specs: Sequence[ResourceSpec],
+              constants: NodeConstants, noise_sigma: float = 0.0,
+              seeds: Sequence[int] | None = None) -> SimulatedProbe:
+    """Simulated probe for each workload deployed solo at its spec."""
+    return SimulatedProbe(constants, [w.params.footprint for w in workloads],
+                          activities=[activity(w.params, w.ground_truth_surface.region, spec)
+                                      for w, spec in zip(workloads, specs, strict=True)],
+                          noise_sigma=noise_sigma, seeds=seeds)
 
 
 def _uniform(rng: np.random.Generator, bounds: tuple[float, float]) -> float:
@@ -361,15 +407,6 @@ def _uniform(rng: np.random.Generator, bounds: tuple[float, float]) -> float:
 def _int_uniform(rng: np.random.Generator, bounds: tuple[int, int]) -> int:
     lo, hi = bounds
     return int(rng.integers(lo, hi + 1))
-
-
-def _shape_distance(a: ArchetypeParams, b: ArchetypeParams) -> float:
-    return max(
-        abs(a.alpha - b.alpha) / (_ALPHA_RANGE[1] - _ALPHA_RANGE[0]),
-        abs(a.beta - b.beta) / (_BETA_RANGE[1] - _BETA_RANGE[0]),
-        abs(a.sat_cores - b.sat_cores) / (_SAT_C_RANGE[1] - _SAT_C_RANGE[0]),
-        abs(a.sat_memory - b.sat_memory) / (_SAT_M_RANGE[1] - _SAT_M_RANGE[0]),
-    )
 
 
 def _draw_family_rates(rng: np.random.Generator, family: str,
@@ -431,16 +468,25 @@ def generate_archetypes(count: int, rng_seed: int,
     family_rates = {f: _draw_family_rates(rng, f, constants) for f in FAMILIES}
     separation = min(_MIN_SHAPE_SEPARATION, 0.8 * count ** -0.25)
     archetypes: list[WorkloadArchetype] = []
+    # Accepted (alpha, beta, sat_cores, sat_memory) rows; a shape's
+    # distance to another is the largest of its four gaps, each over the
+    # span of its draw range.
+    shapes = np.empty((count, 4))
+    spans = np.array([hi - lo for lo, hi in (_ALPHA_RANGE, _BETA_RANGE,
+                                             _SAT_C_RANGE, _SAT_M_RANGE)])
     for archetype_id in range(count):
         family = FAMILIES[archetype_id % len(FAMILIES)]
         for _ in range(5000):
             candidate = _draw_params(rng, family, family_rates[family], constants)
-            if all(_shape_distance(candidate, a.params) >= separation
-                   for a in archetypes):
+            shape = (candidate.alpha, candidate.beta, candidate.sat_cores,
+                     candidate.sat_memory)
+            if not archetype_id or (abs(shapes[:archetype_id] - shape) / spans
+                                    ).max(axis=1).min() >= separation:
                 break
         else:
             raise RuntimeError("could not draw a distinct archetype; "
                                "lower count or the separation threshold")
+        shapes[archetype_id] = shape
         archetypes.append(WorkloadArchetype(archetype_id, family, candidate))
     return archetypes
 
@@ -480,32 +526,50 @@ def _jittered_params(params: ArchetypeParams, rng: np.random.Generator | None,
     )
 
 
+def make_workload_batch(archetypes: Sequence[WorkloadArchetype],
+                        workload_ids: Sequence[int], noise_seeds: Sequence[int],
+                        origins: Sequence[ResourceSpec], region: ConfigRegion,
+                        constants: NodeConstants, base_spec: ResourceSpec,
+                        surface_noise: float = 0.0, footprint_noise: float = 0.0, *,
+                        reference_tracks: ReferenceTracks) -> list[Workload]:
+    """One workload instance of each archetype, deployed at its origin.
+
+    Parameter jitter is derived from the workload's noise_seed, so the
+    same seed reproduces the same instance regardless of how it was
+    drawn; with both noises 0 no generator is seeded at all. Ground-truth
+    profiles read LLC pressure off reference_tracks, the stress tracks
+    of the node constants.
+    """
+    for noise_seed in noise_seeds:
+        if noise_seed < 0:
+            raise ValueError(f"noise_seed must be non-negative, got {noise_seed}")
+    jitter = surface_noise != 0 or footprint_noise != 0
+    params = [_jittered_params(
+        archetype.params,
+        np.random.default_rng(np.random.SeedSequence([noise_seed, 7])) if jitter else None,
+        surface_noise, footprint_noise)
+        for archetype, noise_seed in zip(archetypes, noise_seeds, strict=True)]
+    profiles = _true_profiles(params, [activity(p, region, origin)
+                                       for p, origin in zip(params, origins, strict=True)],
+                              constants, reference_tracks)
+    return [Workload(workload_id=workload_id, archetype_id=archetype.archetype_id,
+                     noise_seed=noise_seed, origin_spec=origin, params=p,
+                     ground_truth_surface=tabulate_surface(p, region, base_spec),
+                     ground_truth_profile=profile)
+            for archetype, workload_id, noise_seed, origin, p, profile
+            in zip(archetypes, workload_ids, noise_seeds, origins, params, profiles,
+                   strict=True)]
+
+
 def make_workload(archetype: WorkloadArchetype, workload_id: int, noise_seed: int,
                   origin: ResourceSpec, region: ConfigRegion,
                   constants: NodeConstants, base_spec: ResourceSpec,
                   surface_noise: float = 0.0, footprint_noise: float = 0.0, *,
                   reference_tracks: ReferenceTracks) -> Workload:
-    """One workload instance of an archetype, deployed at origin.
-
-    Parameter jitter is derived from noise_seed, so the same seed
-    reproduces the same instance regardless of how it was drawn; with
-    both noises 0 no generator is seeded at all. Its ground-truth
-    profile reads LLC pressure off reference_tracks, the stress tracks
-    of the node constants.
-    """
-    if noise_seed < 0:
-        raise ValueError(f"noise_seed must be non-negative, got {noise_seed}")
-    wrng = (np.random.default_rng(np.random.SeedSequence([noise_seed, 7]))
-            if surface_noise != 0 or footprint_noise != 0 else None)
-    params = _jittered_params(archetype.params, wrng, surface_noise, footprint_noise)
-    surface = tabulate_surface(params, region, base_spec)
-    seed_workload = Workload(
-        workload_id=workload_id, archetype_id=archetype.archetype_id,
-        noise_seed=noise_seed, origin_spec=origin, params=params,
-        ground_truth_surface=surface,
-        ground_truth_profile=InterferenceProfile.zero())
-    profile = true_profile_at(seed_workload, origin, constants, reference_tracks)
-    return replace(seed_workload, ground_truth_profile=profile)
+    """make_workload_batch of one workload."""
+    return make_workload_batch([archetype], [workload_id], [noise_seed], [origin], region,
+                               constants, base_spec, surface_noise, footprint_noise,
+                               reference_tracks=reference_tracks)[0]
 
 
 def generate_workloads(archetypes: list[WorkloadArchetype], count: int, rng_seed: int,
@@ -524,19 +588,17 @@ def generate_workloads(archetypes: list[WorkloadArchetype], count: int, rng_seed
     if not archetypes:
         raise ValueError("archetypes must be non-empty")
     master = np.random.default_rng(np.random.SeedSequence([rng_seed, 1]))
-    references = stress_reference_tracks(constants)
-    workloads = []
-    for workload_id in range(count):
-        archetype = archetypes[workload_id % len(archetypes)]
-        noise_seed = int(master.integers(0, 2 ** 62))
-        origin = ResourceSpec(
+    noise_seeds, origins = [], []
+    for _ in range(count):
+        noise_seeds.append(int(master.integers(0, 2 ** 62)))
+        origins.append(ResourceSpec(
             cores=int(master.integers(region.core_levels[0], region.core_levels[-1] + 1)),
             memory_gb=int(master.integers(region.memory_levels_gb[0],
-                                          region.memory_levels_gb[-1] + 1)))
-        workloads.append(make_workload(
-            archetype, workload_id, noise_seed, origin, region, constants,
-            base_spec, surface_noise, footprint_noise, reference_tracks=references))
-    return workloads
+                                          region.memory_levels_gb[-1] + 1))))
+    return make_workload_batch(
+        [archetypes[i % len(archetypes)] for i in range(count)], range(count), noise_seeds,
+        origins, region, constants, base_spec, surface_noise, footprint_noise,
+        reference_tracks=stress_reference_tracks(constants))
 
 
 @dataclass(frozen=True)

@@ -179,9 +179,8 @@ def test_criterion_5_estimator_recovery():
                                    constants=constants, base_spec=base)
     tracks = stress_reference_tracks(constants)
     n = constants.levels
-    for w in workloads:
-        probe = probe_for(w, w.origin_spec, constants)
-        recovered = build_profile(probe, tracks)
+    probe = probe_for(workloads, [w.origin_spec for w in workloads], constants)
+    for w, recovered in zip(workloads, build_profile(probe, tracks), strict=True):
         truth = w.ground_truth_profile
         for attr in ("llc", "membw", "disk", "network"):
             got = getattr(recovered, attr)

@@ -9,10 +9,13 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import tenant_oracles as oracle
 from capsched import cli, experiment
 from capsched.cli import main
-from capsched.core import InterferenceProfile, NodeConstants, canonical_json
+from capsched.core import InterferenceProfile, NodeConstants, ResourceSpec, canonical_json
+from capsched.estimator import stress_reference_tracks
 from capsched.experiment import ExperimentConfig, build_workload_set
+from capsched.scheduler import request_json
 from capsched.workload_synth import WorkloadSet, observe_indexes
 
 TINY = ExperimentConfig(rng_seed=3, archetype_count=4, workload_count=10,
@@ -190,16 +193,42 @@ def test_schedule_places_every_request(workdir):
         assert row["score"] >= 0.0
 
 
+@pytest.mark.parametrize("probe_noise", [0.0, 0.05])
+@pytest.mark.parametrize("spec", [None, "6c8g"])
+def test_estimate_profiles_are_the_per_workload_oracles_bytes(probe_noise, spec, workdir,
+                                                              tmp_path):
+    # estimate profiles the whole set as one batch; the file must hold the
+    # bytes that profiling one workload at a time wrote.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY.to_json(), "probe_noise": probe_noise}))
+    workloads = workdir / "gen" / "workloads.json"
+    out = tmp_path / "out"
+    rc, _, _ = _run("estimate", "--config", str(config), "--out", str(out),
+                    "--workloads", str(workloads), *(["--spec", spec] if spec else []))
+    assert rc == 0
+    wset = WorkloadSet.load(workloads)
+    tracks = stress_reference_tracks(wset.constants)
+    records = []
+    for w in wset.workloads:
+        at = ResourceSpec.parse(spec) if spec else w.origin_spec
+        probe = oracle.probe_for(w, at, wset.constants, noise_sigma=probe_noise,
+                                 seed=w.noise_seed)
+        records.append(request_json(w.workload_id, at, oracle.build_profile(probe, tracks)))
+    assert (out / "profiles.json").read_text(encoding="utf-8") == canonical_json(
+        {"schema": "profiles/v1", "profiles": records})
+
+
 def test_schedule_exhausted_cluster_exits_2(workdir, tmp_path):
     nodes = tmp_path / "nodes.json"
     nodes.write_text(json.dumps({"count": 1, "cores": 2, "memory_gb": 4}))
-    args, _ = _cfg_args(workdir, "schedule_exhausted")
+    args, out = _cfg_args(workdir, "schedule_exhausted")
     rc, _, stderr = _run(
         "schedule", *args,
         "--requests", str(workdir / "estimate" / "profiles.json"),
         "--nodes", str(nodes))
     assert rc == 2
     assert "capacity exhausted" in stderr
+    assert not out.exists()
 
 
 def test_schedule_rejects_duplicate_ids_with_exit_1(workdir, tmp_path):
@@ -324,7 +353,7 @@ def test_sweep_emits_grid(workdir):
 ])
 def test_sweep_checks_its_grid_before_any_fit(grid, message, workdir, tmp_path, monkeypatch):
     observed = []
-    monkeypatch.setattr(experiment, "observe_indexes", lambda *a: observed.append(a))
+    monkeypatch.setattr(experiment, "observe_indexes_batch", lambda *a: observed.append(a))
     out = tmp_path / "out"
     rc, _, stderr = _run("sweep", "--config", str(workdir / "config.json"),
                          "--out", str(out), "--ks", "2,3", "--bases", "6c8g", *grid)
@@ -829,7 +858,7 @@ def test_requests_file_without_requests_exits_1_naming_it(command, workdir, tmp_
                          "--out", str(out), "--requests", str(requests),
                          *(extra if command == "simulate" else []))
     assert (rc, stderr) == (1, f"error: {requests}: requests file lists no requests\n")
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def _kind(value):
@@ -900,3 +929,45 @@ def test_broken_input_exits_1_with_one_error_line(kind, data, workdir):
     out.mkdir(exist_ok=True)
     rc, stderr, _ = _read_with(kind, json.dumps(doc), workdir, out)
     assert rc == 1 and _one_error_line(stderr), stderr
+
+
+# One malformed input file per subcommand and input flag; BAD stands for it.
+# The other inputs are the tiny study's own.
+_PLAN = ["plan", "--policy", "scale-up", "--target", "1.5", "--current", "2c4g"]
+_MALFORMED_INPUTS = {
+    "gen": ["gen", "--config", "BAD"],
+    "train": ["train", "--workloads", "BAD"],
+    "calibrate": ["calibrate", "--workloads", "BAD"],
+    "plan-bundle": [*_PLAN, "--bundle", "BAD", "--indexes", "indexes.json"],
+    "plan-indexes": [*_PLAN, "--bundle", "train/bundle.json", "--indexes", "BAD"],
+    "estimate-workloads": ["estimate", "--workloads", "BAD"],
+    "estimate-tracks": ["estimate", "--workloads", "gen/workloads.json", "--tracks", "BAD"],
+    "schedule-requests": ["schedule", "--requests", "BAD"],
+    "schedule-nodes": ["schedule", "--requests", "estimate/profiles.json", "--nodes", "BAD"],
+    "simulate-placements": ["simulate", "--requests", "estimate/profiles.json",
+                            "--placements", "BAD"],
+    "simulate-requests": ["simulate", "--placements", "schedule/placements.jsonl",
+                          "--requests", "BAD"],
+    "simulate-nodes": ["simulate", "--placements", "schedule/placements.jsonl",
+                       "--requests", "estimate/profiles.json", "--nodes", "BAD"],
+    "scenario1": ["scenario1", "--workloads", "BAD"],
+    "scenario2": ["scenario2", "--workloads", "BAD"],
+    "colocate": ["colocate", "--workloads", "BAD"],
+    "sweep": ["sweep", "--workloads", "BAD"],
+    "loocv": ["loocv", "--workloads", "BAD"],
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_INPUTS))
+def test_a_malformed_input_file_exits_1_before_creating_out(case, workdir, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2")
+    argv = [str(bad) if a == "BAD" else str(workdir / a) if "/" in a or a.endswith(".json")
+            else a for a in _MALFORMED_INPUTS[case]]
+    if "--config" not in argv:
+        argv += ["--config", str(workdir / "config.json")]
+    out = tmp_path / "out"
+    rc, _, stderr = _run(*argv, "--out", str(out))
+    assert rc == 1 and _one_error_line(stderr), stderr
+    assert str(bad) in stderr
+    assert not out.exists()

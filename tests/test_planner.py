@@ -28,7 +28,7 @@ from capsched.planner import (
     surface_error,
     train_classifier,
 )
-from capsched.workload_synth import observe_indexes
+from capsched.workload_synth import observe_indexes_batch
 
 REGION = ConfigRegion()
 BASE = ResourceSpec(6, 8)
@@ -340,11 +340,11 @@ def test_fits_from_one_seed_are_byte_identical():
 def test_loocv_observes_each_workload_once(monkeypatch, default_config, default_wset):
     observed = []
 
-    def counting(workload, *args, **kwargs):
-        observed.append(workload.workload_id)
-        return observe_indexes(workload, *args, **kwargs)
+    def counting(workloads, *args, **kwargs):
+        observed.extend(w.workload_id for w in workloads)
+        return observe_indexes_batch(workloads, *args, **kwargs)
 
-    monkeypatch.setattr(experiment, "observe_indexes", counting)
+    monkeypatch.setattr(experiment, "observe_indexes_batch", counting)
     report = experiment.run_loocv(default_config, default_wset)
     assert len(observed) == len(default_wset.workloads) == 55
     assert sorted(observed) == sorted(w.workload_id for w in default_wset.workloads)

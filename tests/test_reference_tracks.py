@@ -183,14 +183,14 @@ class _CountingProbe(SimulatedProbe):
         self.calls += 1
         return super().set_llc_ways(ways)
 
-    def apply_stress(self, resource, level):
+    def apply_stress(self, resource, level, rows=None):
         self.calls += 1
-        return super().apply_stress(resource, level)
+        return super().apply_stress(resource, level, rows)
 
 
 def test_build_profile_refuses_another_way_count_before_probing(default_wset):
     w = default_wset.workloads[0]
-    probe = _CountingProbe(CONSTANTS, w.params.footprint)
+    probe = _CountingProbe(CONSTANTS, [w.params.footprint])
     short = stress_reference_tracks(NodeConstants(llc_ways=CONSTANTS.llc_ways - 1))
     with pytest.raises(ValueError, match="cover 10 ways, the probe's node has 11"):
         build_profile(probe, short)
@@ -200,13 +200,15 @@ def test_build_profile_refuses_another_way_count_before_probing(default_wset):
 def test_noisy_probes_profile_every_default_workload(default_wset):
     # Noisy kmps readings need not fall as ways grow; they still profile.
     tracks = stress_reference_tracks(default_wset.constants)
-    clean_llc, noisy_llc = [], []
-    for w in default_wset.workloads:
-        clean = build_profile(probe_for(w, w.origin_spec, default_wset.constants), tracks)
-        noisy = [build_profile(probe_for(w, w.origin_spec, default_wset.constants,
-                                         noise_sigma=0.05, seed=w.noise_seed), tracks)
-                 for _ in range(2)]
-        assert noisy[0] == noisy[1]
-        clean_llc.append(clean.get(SharedResource.LLC).pressure)
-        noisy_llc.append(noisy[0].get(SharedResource.LLC).pressure)
+    workloads = default_wset.workloads
+    specs = [w.origin_spec for w in workloads]
+    clean = build_profile(probe_for(workloads, specs, default_wset.constants), tracks)
+    noisy = [build_profile(probe_for(workloads, specs, default_wset.constants,
+                                     noise_sigma=0.05, seeds=[w.noise_seed for w in workloads]),
+                           tracks)
+             for _ in range(2)]
+    assert noisy[0] == noisy[1]
+    clean_llc = [p.get(SharedResource.LLC).pressure for p in clean]
+    noisy_llc = [p.get(SharedResource.LLC).pressure for p in noisy[0]]
+    assert len(clean_llc) == len(workloads)
     assert max(abs(a - b) for a, b in zip(clean_llc, noisy_llc)) <= 1

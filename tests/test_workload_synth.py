@@ -178,8 +178,8 @@ def test_true_profile_pressure_monotone_in_spec():
 
 def test_probe_reports_activity_scaled_usage():
     w = _workloads(count=1)[0]
-    lo = probe_for(w, ResourceSpec(1, 2), CONSTANTS)
-    hi = probe_for(w, ResourceSpec(12, 16), CONSTANTS)
+    probe = probe_for([w, w], [ResourceSpec(1, 2), ResourceSpec(12, 16)], CONSTANTS)
     for resource in (SharedResource.MEMORY_BANDWIDTH, SharedResource.DISK,
                      SharedResource.NETWORK):
-        assert lo.read_usage(resource) <= hi.read_usage(resource)
+        lo, hi = probe.read_usage(resource)
+        assert lo <= hi

@@ -7,9 +7,10 @@ The pipeline moves three kinds of data between its stages:
 * interference profiles, i.e. per-shared-resource pressure and
   sensitivity levels on a common 0..N scale.
 
-Everything here is a plain frozen dataclass. Records share one JSON
-encoder and one type-checking decoder (fields_json, decode), so CLI
-outputs are stable byte-for-byte across reruns of the same inputs.
+Everything here is a plain frozen dataclass. Records, frozen dataclasses
+and NamedTuples alike, share one JSON encoder and one type-checking
+decoder (fields_json, decode), so CLI outputs are stable byte-for-byte
+across reruns of the same inputs.
 """
 
 from __future__ import annotations
@@ -193,9 +194,16 @@ def reject_unknown_keys(obj: dict, known, where: str) -> None:
 
 
 @functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    """A record class's field names in order: a NamedTuple's _fields, else
+    its dataclass fields. Read once per class, not on every encode."""
+    return cls._fields if issubclass(cls, tuple) else tuple(f.name for f in fields(cls))
+
+
+@functools.cache
 def _field_types(cls) -> dict:
     hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
+    return {name: hints[name] for name in _field_names(cls)}
 
 
 def _form(value):
@@ -205,18 +213,21 @@ def _form(value):
 
 
 def fields_json(record) -> dict:
-    """The JSON form of a dataclass as an object of its fields. A field
+    """The JSON form of a record as an object of its fields. A field
     with a to_json takes that form, a tuple becomes a list, and any
     other value stays as it is."""
-    return {f.name: _form(getattr(record, f.name)) for f in fields(record)}
+    return {name: _form(getattr(record, name)) for name in _field_names(type(record))}
 
 
 class JsonRecord:
-    """A dataclass whose JSON form is fields_json of it.
+    """A dataclass or NamedTuple whose JSON form is fields_json of it.
 
     Loading checks every field's JSON type against its annotation
     through decode; a value the constructor refuses is named by where.
+    A NamedTuple record encodes as an object of its fields, not a list.
     """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return fields_json(self)

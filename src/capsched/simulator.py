@@ -13,14 +13,17 @@ once, takes node totals with one int64 scatter-add and each tenant's
 external pressure as its node's total minus its own, and applies
 degradation_factor once, elementwise, over all tenants and resources.
 The slowdowns are bit-identical to the scalar formula applied one
-tenant and resource at a time.
+tenant and resource at a time. The report holds one SlowdownEntry per
+tenant, in tenant order: an immutable NamedTuple of workload_id,
+node_id and sd, which encodes through the shared record codec.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +50,10 @@ class ClusterSpec:
     theta: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("nodes", "node_cores", "node_memory_gb"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.nodes < 1:
             raise ValueError("nodes must be >= 1")
         if self.node_cores < 1 or self.node_memory_gb < 1:
@@ -67,11 +74,21 @@ class ClusterSpec:
 Tenant = tuple[int | str, int, ResourceSpec, InterferenceProfile]
 
 
-@dataclass(frozen=True)
-class SlowdownEntry(JsonRecord):
+class _Entry(NamedTuple):
     workload_id: int | str
     node_id: int
     sd: float
+
+
+class SlowdownEntry(_Entry, JsonRecord):
+    """One tenant's slowdown: a tuple record with the codec of a JsonRecord."""
+
+    __slots__ = ()
+
+
+# Builds an entry from a (workload_id, node_id, sd) tuple without the
+# generated __new__'s Python frame: half the cost per entry.
+_entry = functools.partial(tuple.__new__, SlowdownEntry)
 
 
 @dataclass(frozen=True)
@@ -104,8 +121,8 @@ def compute_metrics(sds: Sequence[float]) -> tuple[float, float]:
     if not sds:
         raise ValueError("sds must be non-empty")
     values = np.asarray(sds, dtype=float)
-    if not (values > 0).all():  # NaN fails too
-        raise ValueError("slowdowns must be positive")
+    if not ((values > 0) & (values < np.inf)).all():  # NaN fails too
+        raise ValueError("slowdowns must be positive and finite")
     worst, best = values.min(), values.max()
     return float(sum(sds)), float((best - worst) / best)
 
@@ -153,5 +170,5 @@ def simulate_colocated(tenants: Sequence[Tenant],
                                 cluster.pressure_threshold, cluster.constants.levels)
     sds = (factor[:, 0] * factor[:, 1] * factor[:, 2] * factor[:, 3]).tolist()
     p_sys, unfairness = compute_metrics(sds)
-    return SlowdownReport(entries=tuple(map(SlowdownEntry, ids, node_ids, sds)),
+    return SlowdownReport(entries=tuple(map(_entry, zip(ids, node_ids, sds))),
                           p_sys=p_sys, unfairness=unfairness)

@@ -5,7 +5,7 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 
-from capsched.core import JsonRecord, ResourceSpec, canonical_json, decode
+from capsched.core import JsonRecord, ResourceSpec, _field_names, canonical_json, decode
 from capsched.experiment import ExperimentConfig
 from capsched.simulator import simulate_colocated
 from capsched.workload_synth import observe_indexes
@@ -81,15 +81,16 @@ def test_every_record_round_trips_and_checks_each_field(cls, world):
     record = _first_instance(cls, world)
     form = json.loads(canonical_json(record.to_json()))
     assert cls.from_json(form) == record
-    for f in fields(cls):
-        wrong = "x" if isinstance(form[f.name], list) else []
+    # The codec's own field names: a dataclass's fields or a NamedTuple's.
+    for name in _field_names(cls):
+        wrong = "x" if isinstance(form[name], list) else []
         with pytest.raises(ValueError) as info:
-            cls.from_json({**form, f.name: wrong})
-        assert f.name in str(info.value) and "needs" in str(info.value)
-        rest = {k: v for k, v in form.items() if k != f.name}
+            cls.from_json({**form, name: wrong})
+        assert name in str(info.value) and "needs" in str(info.value)
+        rest = {k: v for k, v in form.items() if k != name}
         if cls is ExperimentConfig:
             # A config file lists only the keys it overrides.
             assert cls.from_json(rest) == record
             continue
-        with pytest.raises(ValueError, match=f"has no '{f.name}'"):
+        with pytest.raises(ValueError, match=f"has no '{name}'"):
             cls.from_json(rest)

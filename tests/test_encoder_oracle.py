@@ -102,6 +102,12 @@ def _scenario(r):
     return {"schema": r.schema, "summary": r.summary, "rows": list(r.rows)}
 
 
+def _simulation(r):
+    return {"entries": [{"workload_id": e.workload_id, "node_id": e.node_id, "sd": e.sd}
+                        for e in r.entries],
+            "p_sys": r.p_sys, "unfairness": r.unfairness}
+
+
 def _simulation_csv(report):
     lines = ["workload_id,node_id,sd\n"]
     for e in report.entries:
@@ -157,6 +163,16 @@ def test_reports_match_their_oracles(default_config, default_wset, default_bundl
         report = run(default_config, default_wset, default_bundle)
         assert report.rows
         _same(report.to_json(), _scenario(report))
+
+
+def test_simulation_report_matches_its_oracle(default_config, placed):
+    nodes, placements = placed[POLICY_URSA]
+    by_id = {wid: (spec, profile) for n in nodes for wid, spec, profile in n.deployed}
+    report = simulate_colocated(
+        [(p.workload_id if i % 2 else f"w{p.workload_id}", p.node_id, *by_id[p.workload_id])
+         for i, p in enumerate(placements)], default_config.cluster_spec)
+    assert {type(e.workload_id) for e in report.entries} == {int, str}
+    _same(report.to_json(), _simulation(report))
 
 
 def test_simulation_csv_matches_its_oracle(default_config, default_wset, placed, tmp_path):

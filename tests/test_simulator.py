@@ -11,6 +11,7 @@ from capsched.core import (
 )
 from capsched.simulator import (
     ClusterSpec,
+    SlowdownEntry,
     SlowdownReport,
     compute_metrics,
     degradation_factor,
@@ -350,10 +351,36 @@ def test_cluster_spec_rejects_non_finite_constants(field, value):
         ClusterSpec(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["nodes", "node_cores", "node_memory_gb"])
+@pytest.mark.parametrize("value", [2.5, 1.0, True, "4", None])
+def test_cluster_spec_refuses_non_int_sizes(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        ClusterSpec(**{field: value})
+
+
 def test_compute_metrics_refuses_nan():
-    for sds in ([float("nan")], [1.0, float("nan")], [float("nan"), 1.0]):
-        with pytest.raises(ValueError, match="slowdowns must be positive"):
-            compute_metrics(sds)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        for sds in ([bad], [1.0, bad], [bad, 1.0]):
+            with pytest.raises(ValueError, match="^slowdowns must be positive and finite$"):
+                compute_metrics(sds)
+
+
+def test_entries_are_immutable_tuple_records_in_tenant_order():
+    rng = np.random.default_rng(17)
+    tenants = _random_tenants(rng, 40, 3, 20, ids=lambda i: i if i % 2 else f"w{i}")
+    report = simulate_colocated(tenants, ClusterSpec(nodes=3))
+    sds = _oracle_sds(tenants, ClusterSpec(nodes=3))
+    assert report.entries == tuple(SlowdownEntry(t[0], t[1], sd)
+                                   for t, sd in zip(tenants, sds))
+    assert all(type(e) is SlowdownEntry for e in report.entries)
+    entry = report.entries[0]
+    assert isinstance(entry, tuple)
+    assert entry._fields == ("workload_id", "node_id", "sd")
+    for field in ("workload_id", "node_id", "sd", "other"):
+        with pytest.raises(AttributeError):
+            setattr(entry, field, 0)
+    assert SlowdownEntry.from_json(entry.to_json()) == entry
+    assert type(SlowdownEntry.from_json(entry.to_json())) is SlowdownEntry
 
 
 def test_profile_positional_levels_follow_shared_resource_order():

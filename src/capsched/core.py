@@ -206,7 +206,14 @@ def _field_types(cls) -> dict:
     return {name: hints[name] for name in _field_names(cls)}
 
 
+# Values that fields_json passes through as they are; checked by exact
+# type before the to_json probe, which fails on every one of them.
+_PLAIN_TYPES = frozenset({int, float, str, bool, type(None)})
+
+
 def _form(value):
+    if type(value) in _PLAIN_TYPES:
+        return value
     if hasattr(value, "to_json"):
         return value.to_json()
     return [_form(v) for v in value] if isinstance(value, tuple) else value

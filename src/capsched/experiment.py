@@ -9,6 +9,7 @@ data with enough raw per-row fields to recompute every aggregate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence, get_type_hints
@@ -41,6 +42,7 @@ from .planner import (
     PlanningRequest,
     cluster_surfaces,
     plan_capacity,
+    plan_capacity_batch,
     select_features,
     select_features_cv,
     spec_cost,
@@ -122,6 +124,9 @@ class ExperimentConfig(JsonRecord):
                           ("cost_weight_cores", 0), ("cost_weight_memory", 0)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("cost_weight_cores", "cost_weight_memory"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("scenario1_origin", "scenario2_origin", "origin_cores",
                      "origin_memory_gb"):
             if len(getattr(self, name)) != 2:
@@ -535,12 +540,11 @@ def run_colocation(config: ExperimentConfig, wset: WorkloadSet,
         try:
             seen = observe_indexes_batch(tenants, [bundle.base_spec] * len(tenants),
                                          config.noise_sigma, wset.constants)
-            specs = [plan_capacity(PlanningRequest(policy="scale-down",
-                                                   current_spec=w.origin_spec,
-                                                   performance_tolerance=config.epsilon,
-                                                   cost_weights=config.cost_weights),
-                                   bundle.predict(indexes))
-                     for w, indexes in zip(tenants, seen)]
+            specs = plan_capacity_batch(
+                [PlanningRequest(policy="scale-down", current_spec=w.origin_spec,
+                                 performance_tolerance=config.epsilon,
+                                 cost_weights=config.cost_weights) for w in tenants],
+                bundle.predict_batch(seen))
             probe = probe_for(tenants, specs, wset.constants, noise_sigma=config.probe_noise,
                               seeds=[w.noise_seed for w in tenants])
             ursa_arm = zip(specs, build_profile(probe, references),

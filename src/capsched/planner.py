@@ -53,7 +53,9 @@ __all__ = [
     "cluster_surfaces",
     "lambda_grid",
     "plan_capacity",
+    "plan_capacity_batch",
     "predict_surface",
+    "predict_surface_batch",
     "select_features",
     "select_features_cv",
     "spec_cost",
@@ -453,8 +455,9 @@ class _Mlp:
                 np.sqrt(square / (1.0 - beta2 ** t)) + _ADAM_EPS)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        """The class of each row along x's last axis."""
         _, logits = self._forward(x)
-        return np.argmax(logits, axis=1)
+        return np.argmax(logits, axis=-1)
 
     def __eq__(self, other):
         return isinstance(other, _Mlp) and all(
@@ -518,16 +521,27 @@ class SurfaceClassifier(JsonRecord):
     def n_classes(self) -> int:
         return self.model.w2.shape[1]
 
-    def _features(self, indexes: SystemIndexVector) -> np.ndarray:
-        raw = indexes.as_array()
+    def _features(self, vectors) -> np.ndarray:
+        raw = np.array([v.as_array() for v in vectors]).reshape(-1, len(INDEX_NAMES))
         if not np.isfinite(raw).all():
             raise ValueError("index vector contains non-finite values")
         selected, mean, std = self._scaling
-        return (raw[selected] - mean) / std
+        # take keeps each row contiguous, as a lone row is; raw[:, selected]
+        # would lay the block out column by column.
+        return (raw.take(selected, axis=1) - mean) / std
+
+    def predict_batch(self, vectors) -> np.ndarray:
+        """The class of each index vector of vectors, as one int array.
+
+        The forward pass runs on an (n, 1, features) stack of contiguous
+        rows: numpy's matmul takes each one-row slice as it takes a lone
+        (1, features) row, so every logit has the bits that row alone
+        would get, which an (n, features) block does not promise.
+        """
+        return self.model.predict(self._features(vectors)[:, None, :])[:, 0]
 
     def predict(self, indexes: SystemIndexVector) -> int:
-        feats = self._features(indexes)[None, :]
-        return int(self.model.predict(feats)[0])
+        return int(self.predict_batch([indexes])[0])
 
 
 def _same_sizes(what: str, **sizes: int) -> None:
@@ -570,13 +584,20 @@ def train_classifier(training, base_spec: ResourceSpec,
                              epochs=epochs_run, converged=converged)
 
 
-def predict_surface(classifier: SurfaceClassifier, clustering: SurfaceClustering,
-                    indexes: SystemIndexVector) -> ScalingSurface:
-    """Centroid surface of the predicted cluster, unmodified."""
+def predict_surface_batch(classifier: SurfaceClassifier, clustering: SurfaceClustering,
+                          vectors) -> list[ScalingSurface]:
+    """Centroid surface of each index vector's predicted cluster, unmodified."""
     if classifier.n_classes != clustering.k:
         raise ValueError(f"classifier has {classifier.n_classes} classes, "
                          f"clustering has k={clustering.k}")
-    return clustering.centroids[classifier.predict(indexes)]
+    centroids = clustering.centroids
+    return [centroids[c] for c in classifier.predict_batch(vectors).tolist()]
+
+
+def predict_surface(classifier: SurfaceClassifier, clustering: SurfaceClustering,
+                    indexes: SystemIndexVector) -> ScalingSurface:
+    """Centroid surface of the predicted cluster, unmodified."""
+    return predict_surface_batch(classifier, clustering, [indexes])[0]
 
 
 def surface_error(predicted: ScalingSurface, actual: ScalingSurface) -> float:
@@ -612,38 +633,68 @@ class PlanningRequest:
             raise ValueError("performance_tolerance must be in [0, 1)")
         if not (self.cost_weights[0] >= 0 and self.cost_weights[1] >= 0):
             raise ValueError("cost weights must be non-negative")
+        for name, weight in zip(("cores", "memory"), self.cost_weights):
+            if not math.isfinite(weight):
+                raise ValueError(f"cost weight for {name} must be finite, got {weight}")
 
 
 def spec_cost(spec: ResourceSpec, weights: tuple[float, float]) -> float:
     return weights[0] * spec.cores + weights[1] * spec.memory_gb
 
 
-def plan_capacity(request: PlanningRequest, surface: ScalingSurface) -> ResourceSpec:
-    """Cheapest grid spec meeting the request on the given surface.
+def plan_capacity_batch(requests, surfaces) -> list[ResourceSpec]:
+    """Cheapest grid spec meeting each request on its surface.
 
     Scale-up: speedup(spec) / speedup(current) >= target_speedup.
     Scale-down: speedup(spec) >= (1 - tolerance) * speedup(current).
-    Exhaustive scan; ties go to lower cost, then fewer cores, then
-    less memory. Raises InfeasibleError when even the best spec falls
-    short, carrying the best achievable speedup ratio.
+    One (requests x grid) feasibility mask and one masked argmin over
+    each request's cost grid; ties go to lower cost, then fewer cores,
+    then less memory. The surfaces share one region. Every current spec
+    is read before feasibility is checked; then the first request that
+    even its best spec falls short of raises InfeasibleError, carrying
+    the best achievable speedup ratio.
     """
-    current = surface.speedup_at(request.current_spec)
-    if request.policy == "scale-up":
-        threshold = request.target_speedup * current
-    else:
-        threshold = (1.0 - request.performance_tolerance) * current
-    feasible = np.flatnonzero(surface.values >= threshold)
-    if not len(feasible):
-        best_ratio = surface.values.max().item() / current
+    requests, surfaces = list(requests), list(surfaces)
+    if len(requests) != len(surfaces):
+        raise ValueError(f"{len(requests)} requests but {len(surfaces)} surfaces")
+    if not requests:
+        return []
+    region = surfaces[0].region
+    if any(s.region != region for s in surfaces):
+        raise ValueError("surfaces must share one region")
+    currents = [s.speedup_at(r.current_spec) for r, s in zip(requests, surfaces)]
+    thresholds = [r.target_speedup * c if r.policy == "scale-up"
+                  else (1.0 - r.performance_tolerance) * c
+                  for r, c in zip(requests, currents)]
+    values = np.stack([s.values for s in surfaces]).reshape(len(surfaces), -1)
+    feasible = values >= np.array(thresholds)[:, None]
+    reachable = feasible.any(axis=1)
+    if not reachable.all():
+        row = int(np.argmin(reachable))
+        current, threshold = currents[row], thresholds[row]
+        best_ratio = values[row].max().item() / current
         raise InfeasibleError(
             f"no spec reaches {threshold / current:.3f}x of current; "
             f"best achievable is {best_ratio:.3f}x", best_speedup=best_ratio)
-    cores, memory = surface.region.core_levels, surface.region.memory_levels_gb
-    w_cores, w_memory = request.cost_weights
-    cost = np.add.outer(np.multiply(w_cores, cores), np.multiply(w_memory, memory))
-    # The first cheapest entry, cores-major, has the fewest cores, then the least memory.
-    i, j = divmod(int(feasible[np.argmin(cost.ravel()[feasible])]), len(memory))
-    return ResourceSpec(cores[i], memory[j])
+    cores, memory = region.core_levels, region.memory_levels_gb
+    weights = np.array([r.cost_weights for r in requests], dtype=float)
+    cost = (np.multiply(weights[:, :1], cores)[:, :, None]
+            + np.multiply(weights[:, 1:], memory)[:, None, :]).reshape(len(requests), -1)
+    # The first cheapest feasible entry, cores-major, has the fewest cores,
+    # then the least memory. A cost that overflows to inf ties with the
+    # masked entries, so a row whose every feasible cost is inf takes its
+    # first feasible entry.
+    best = np.argmin(np.where(feasible, cost, np.inf), axis=1)
+    rows = np.arange(len(requests))
+    best = np.where(feasible[rows, best], best, np.argmax(feasible, axis=1))
+    return [ResourceSpec(cores[k // len(memory)], memory[k % len(memory)])
+            for k in best.tolist()]
+
+
+def plan_capacity(request: PlanningRequest, surface: ScalingSurface) -> ResourceSpec:
+    """Cheapest grid spec meeting the request on the given surface; see
+    plan_capacity_batch."""
+    return plan_capacity_batch([request], [surface])[0]
 
 
 @dataclass(frozen=True)
@@ -676,6 +727,9 @@ class ModelBundle:
     @property
     def selection(self) -> FeatureSelection:
         return self.classifier.selection
+
+    def predict_batch(self, vectors) -> list[ScalingSurface]:
+        return predict_surface_batch(self.classifier, self.clustering, vectors)
 
     def predict(self, indexes: SystemIndexVector) -> ScalingSurface:
         return predict_surface(self.classifier, self.clustering, indexes)

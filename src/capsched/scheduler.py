@@ -189,26 +189,25 @@ def _risk(rows: np.ndarray, incoming: InterferenceProfile, scaler: float) -> np.
 
     Per resource: max sensitivity * summed pressure * scaler ** summed
     pressure, with the int product taken first; the resource columns
-    are added left to right. Raises ValueError naming the first node
-    whose risk is not finite.
+    are added left to right (numpy reduces a row of four in order).
+    Raises ValueError naming the first node whose risk is not finite.
     """
     _check_scaler(scaler)
-    sum_p = rows[:, _SUM_P] + incoming.pressures
-    max_s = np.maximum(rows[:, _MAX_S], incoming.sensitivities)
-    # Table sizes are powers of two, so the cache sees few of them.
-    table = _powers(scaler, min(1 << max(6, int(sum_p.max()).bit_length()), _TABLE_SIZE))
-    beyond = sum_p >= len(table)
-    powers = table[np.where(beyond, 0, sum_p)]
-    if beyond.any():
+    levels = np.frombuffer(incoming.packed_levels, dtype=np.int64)
+    sum_p = rows[:, _SUM_P] + levels[:_LEVELS]
+    max_s = np.maximum(rows[:, _MAX_S], levels[_LEVELS:])
+    top = int(sum_p.max())
+    if top < _TABLE_SIZE:
+        # Table sizes are powers of two, so the cache sees few of them.
+        powers = _powers(scaler, 1 << max(6, top.bit_length()))[sum_p]
+    else:
+        beyond = sum_p >= _TABLE_SIZE
+        powers = _powers(scaler, _TABLE_SIZE)[np.where(beyond, 0, sum_p)]
         powers[beyond] = [_pow(scaler, int(p)) for p in sum_p[beyond]]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        terms = (max_s * sum_p) * powers
-        risk = terms[:, 0].copy()
-        for column in range(1, terms.shape[1]):
-            risk += terms[:, column]
-    bad = np.flatnonzero(~np.isfinite(risk))
-    if len(bad):
-        row = bad[0]
+        risk = np.add.reduce((max_s * sum_p) * powers, axis=1)
+    if not np.isfinite(risk).all():
+        row = int(np.argmin(np.isfinite(risk)))
         summed = ", ".join(f"{r.value} {p}" for r, p in zip(SharedResource, sum_p[row]))
         raise ValueError(f"node {rows[row, _NODE_ID]}: contention risk is not finite "
                          f"at scaler {scaler!r} with summed pressure {summed}")
@@ -228,25 +227,28 @@ def contention_risk(node: NodeState, scaler: float = DEFAULT_SCALER,
 
 
 # Columns of the int rows that _rows gathers, one row per node.
-_USED_CORES, _USED_MEMORY, _CAP_CORES, _CAP_MEMORY, _NODE_ID = range(5)
-_SUM_P = slice(5, 5 + len(SharedResource))
-_MAX_S = slice(5 + len(SharedResource), 5 + 2 * len(SharedResource))
+_USED, _CAP, _NODE_ID = slice(0, 2), slice(2, 4), 4
+_LEVELS = len(SharedResource)
+_SUM_P = slice(5, 5 + _LEVELS)
+_MAX_S = slice(5 + _LEVELS, 5 + 2 * _LEVELS)
 
 
 def _rows(nodes: Sequence[NodeState]) -> np.ndarray:
-    """Used and total capacity, node id, then the summed pressures and
-    max sensitivities, as one int row per node."""
+    """Used cores and memory, their capacity, node id, then the summed
+    pressures and max sensitivities, as one int row per node. The array
+    is column-major, so a reduction across a row's few columns runs as
+    a few whole-column steps, not a short loop per row."""
     return np.array([(n.used_cores, n.used_memory_gb, n.capacity.cores,
                       n.capacity.memory_gb, n.node_id, *n._sum_p, *n._max_s)
-                     for n in nodes], dtype=np.int64).reshape(len(nodes), -1)
+                     for n in nodes], dtype=np.int64,
+                    order="F").reshape(len(nodes), 5 + 2 * _LEVELS)
 
 
 def _scores(rows: np.ndarray, spec: ResourceSpec, profile: InterferenceProfile,
             scaler: float) -> np.ndarray:
     """score_node of each node row; every row must fit `spec`."""
-    usage_ave = 0.5 * ((rows[:, _USED_CORES] + spec.cores) / rows[:, _CAP_CORES]
-                       + (rows[:, _USED_MEMORY] + spec.memory_gb)
-                       / rows[:, _CAP_MEMORY])
+    taken = rows[:, _USED] + (spec.cores, spec.memory_gb)
+    usage_ave = 0.5 * np.add.reduce(taken / rows[:, _CAP], axis=1)
     return _risk(rows, profile, scaler) * usage_ave
 
 
@@ -267,15 +269,16 @@ def score_node(node: NodeState, spec: ResourceSpec, profile: InterferenceProfile
 def _best_ursa(rows: np.ndarray, spec: ResourceSpec, profile: InterferenceProfile,
                scaler: float) -> tuple[int, float] | None:
     # The lowest score among the rows that fit; ties go to the lowest node id.
-    feasible = np.flatnonzero(
-        (rows[:, _CAP_CORES] - rows[:, _USED_CORES] >= spec.cores)
-        & (rows[:, _CAP_MEMORY] - rows[:, _USED_MEMORY] >= spec.memory_gb))
+    fits = rows[:, _CAP] - rows[:, _USED] >= (spec.cores, spec.memory_gb)
+    feasible = np.flatnonzero(np.logical_and.reduce(fits, axis=1))
     if not len(feasible):
         return None
-    scores = _scores(rows[feasible], spec, profile, scaler)
-    best_score = scores.min()
-    tied = feasible[scores == best_score]
-    return int(tied[np.argmin(rows[tied, _NODE_ID])]), float(best_score)
+    if len(feasible) < len(rows):
+        # Column-major again, as _rows makes it, for _scores' reductions.
+        rows = np.asfortranarray(rows[feasible])
+    scores = _scores(rows, spec, profile, scaler)
+    best = int(np.lexsort((rows[:, _NODE_ID], scores))[0])
+    return int(feasible[best]), float(scores[best])
 
 
 def _best_lrp(nodes: Sequence[NodeState], spec: ResourceSpec) -> tuple[int, float] | None:

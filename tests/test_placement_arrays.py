@@ -359,3 +359,71 @@ def test_sums_past_the_power_table_match_the_oracle(scaler, pressure):
         spec, config = ResourceSpec(1, 1), ScheduleConfig(scaler=scaler)
         assert (json.dumps(score_node(node, spec, heavy, config))
                 == json.dumps(_oracle_score_node(node, spec, heavy, config)))
+
+
+def test_place_with_sums_past_the_power_table_matches_the_oracle():
+    # Every node holds a tenant with a huge llc pressure, half of them past
+    # the 2 ** 16-entry table and half inside it, so the requests land on
+    # both kinds of node and each call scores both.
+    rng = np.random.default_rng(816)
+    nodes = _nodes(rng, 8, preload=False)
+    for i, node in enumerate(nodes):
+        heavy = InterferenceProfile(llc=PressureSensitivity(70000 if i % 2 else 30000, 3),
+                                    membw=PressureSensitivity(5, 2),
+                                    disk=PressureSensitivity(0, 0),
+                                    network=PressureSensitivity(1, 1))
+        node.add(f"heavy{node.node_id}", ResourceSpec(1, 1), heavy)
+    requests = _requests(rng, 60)
+    got = []
+    for one_per_call in (False, True):
+        got = _assert_same_placement(requests, nodes, ScheduleConfig(scaler=1.00001),
+                                     one_per_call=one_per_call)
+    placed_on = {p.node_id for p in got}
+    assert placed_on & {n.node_id for n in nodes[::2]}
+    assert placed_on & {n.node_id for n in nodes[1::2]}
+
+
+def test_a_risk_that_is_not_finite_names_the_first_node_that_fits():
+    # Node 9 comes first and overflows too, but it cannot take the request.
+    full = NodeState(node_id=9, capacity=ResourceSpec(40, 256))
+    for i in range(40):
+        full.add(f"loud{i}", ResourceSpec(1, 1), LOUD)
+    loud = []
+    for node_id in (5, 3):
+        node = NodeState(node_id=node_id, capacity=ResourceSpec(96, 256))
+        for i in range(40):
+            node.add(f"loud{node_id}-{i}", ResourceSpec(1, 1), LOUD)
+        loud.append(node)
+    with pytest.raises(ValueError, match=r"^node 5: contention risk is not finite"):
+        place([("t", ResourceSpec(1, 1), LOUD)], [full, *loud], ScheduleConfig(scaler=10.0))
+
+
+def test_ties_among_the_nodes_that_fit_go_to_the_lowest_node_id():
+    # Identical nodes listed with ids out of row order, some too full to
+    # fit: the request ties on every node that fits and takes the least id.
+    rng = np.random.default_rng(817)
+    for _ in range(40):
+        count = int(rng.integers(3, 12))
+        ids = [int(i) for i in rng.permutation(4 * count)[:count]]
+        nodes = [NodeState(node_id=i, capacity=ResourceSpec(16, 32)) for i in ids]
+        tenant = _profile(rng, 4)
+        for node in nodes:
+            node.add(f"t{node.node_id}", ResourceSpec(4, 8), tenant)
+        full = [n for n in nodes if rng.random() < 0.4]
+        for node in full:
+            node.add(f"f{node.node_id}", ResourceSpec(12, 24), tenant)
+        spec = ResourceSpec(2, 4)
+        for policy in (POLICY_URSA, POLICY_LRP):
+            got = _assert_same_placement([("r", spec, tenant)], nodes,
+                                         ScheduleConfig(policy=policy))
+            if len(full) < len(nodes):
+                assert got[0].node_id == min(n.node_id for n in nodes if n not in full)
+
+
+@pytest.mark.parametrize("policy", [POLICY_URSA, POLICY_LRP])
+def test_place_on_no_nodes(policy):
+    config = ScheduleConfig(policy=policy)
+    assert place([], [], config) == []
+    with pytest.raises(CapacityExhaustedError,
+                       match=r"^no node can hold workload 'a' \(1c2g\)$"):
+        place([("a", ResourceSpec(1, 2), InterferenceProfile.zero())], [], config)

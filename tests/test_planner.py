@@ -294,7 +294,7 @@ def test_mlp_fits_separable_clusters():
 
 def _rule_terms(clf, training):
     """Mean cross-entropy and accuracy of clf on training, recomputed."""
-    x = np.stack([clf._features(vec) for vec, _ in training])
+    x = clf._features([vec for vec, _ in training])
     y = np.array([cls for _, cls in training])
     m = clf.model
     logits = 1.0 / (1.0 + np.exp(-(x @ m.w1 + m.b1))) @ m.w2 + m.b2

@@ -520,7 +520,9 @@ def main(argv=None) -> int:
     except (InfeasibleError, CapacityExhaustedError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RuntimeError) as exc:
+        # A solver that reaches its iteration cap raises RuntimeError;
+        # the planning errors above subclass it and keep exit 2.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

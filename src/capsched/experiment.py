@@ -112,8 +112,8 @@ class ExperimentConfig(JsonRecord):
             raise ValueError("k must be in [1, train_count]")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if not all(f >= 1.0 for f in self.scale_factors):
-            raise ValueError(f"scale_factors must each be >= 1, "
+        if not all(1.0 <= f < math.inf for f in self.scale_factors):
+            raise ValueError(f"scale_factors must each be finite and >= 1, "
                              f"got {list(self.scale_factors)}")
         # train_count >= 3 leaves every Lasso cross-validation fold two
         # training samples.
@@ -122,11 +122,11 @@ class ExperimentConfig(JsonRecord):
                           ("archetype_count", 2), ("noise_sigma", 0), ("surface_noise", 0),
                           ("footprint_noise", 0), ("probe_noise", 0),
                           ("cost_weight_cores", 0), ("cost_weight_memory", 0)):
-            if not getattr(self, name) >= low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("cost_weight_cores", "cost_weight_memory"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not value >= low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("scenario1_origin", "scenario2_origin", "origin_cores",
                      "origin_memory_gb"):
             if len(getattr(self, name)) != 2:

@@ -292,7 +292,9 @@ class SurfaceClustering:
 
     assignments[i] is the cluster of the i-th input surface; callers
     keep their own workload_id order. cost_history records the
-    objective after every assignment step (non-increasing).
+    objective after every assignment step (non-increasing up to
+    rounding). A cluster with no members keeps the centroid it had
+    (see cluster_surfaces).
     """
 
     centroids: tuple[ScalingSurface, ...]
@@ -343,8 +345,15 @@ def cluster_surfaces(surfaces, k: int, rng_seed: int) -> SurfaceClustering:
 
     Runs to an assignment fixpoint, breaking distance ties toward the
     lower cluster index, and raises RuntimeError if that takes more than
-    KMEANS_MAX_ITER assignment steps. A cluster emptied during an update
-    is reseeded with the point farthest from its own centroid.
+    KMEANS_MAX_ITER assignment steps. A cluster with no members keeps
+    its centroid.
+
+    A k above the number of distinct surfaces is allowed: k-means++
+    seeds the surplus clusters on copies of surfaces already chosen,
+    and as ties go to the lower index they end empty. Each keeps its
+    k-means++ seed, unless rounding in the mean of the cluster it
+    copies let it hold that cluster's members for one step; it then
+    ends at that cluster's centroid.
     """
     surfaces = list(surfaces)
     if k < 1:
@@ -368,13 +377,10 @@ def cluster_surfaces(surfaces, k: int, rng_seed: int) -> SurfaceClustering:
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-        own = d2[np.arange(len(x)), assignments]
         for j in range(k):
             members = assignments == j
             if members.any():
                 centers[j] = x[members].mean(axis=0)
-            else:
-                centers[j] = x[int(np.argmax(own))]
     else:
         raise RuntimeError(f"k-means with k={k} did not reach a fixpoint "
                            f"in {KMEANS_MAX_ITER} iterations")

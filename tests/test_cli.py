@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import tenant_oracles as oracle
-from capsched import cli, experiment
+from capsched import cli, experiment, planner
 from capsched.cli import main
 from capsched.core import InterferenceProfile, NodeConstants, ResourceSpec, canonical_json
 from capsched.estimator import stress_reference_tracks
@@ -476,6 +476,27 @@ def test_train_refuses_a_training_split_too_small_to_cross_validate(tmp_path):
     rc, _, stderr = _run("train", "--config", str(path), "--out", str(tmp_path / "o"))
     assert (rc, stderr) == (1, f"error: {path}: train_count must be >= 3, got 2\n")
     assert not (tmp_path / "o" / "bundle.json").exists()
+
+
+def test_scenario2_trains_at_a_world_seed_with_fewer_surfaces_than_k(tmp_path):
+    # World seed 9 trains on 19 distinct surfaces at the default k = 20.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"rng_seed": 9}))
+    rc, stdout, stderr = _run("scenario2", "--config", str(path),
+                              "--out", str(tmp_path / "o"))
+    assert (rc, stderr) == (0, "")
+    assert stdout.startswith("scenario2: ")
+    assert (tmp_path / "o" / "scenario2.json").exists()
+
+
+def test_a_solver_at_its_iteration_cap_exits_1_with_one_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(planner, "KMEANS_MAX_ITER", 1)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TINY.to_json()))
+    rc, _, stderr = _run("train", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert (rc, stderr) == (1, f"error: k-means with k={TINY.k} did not reach a fixpoint "
+                               "in 1 iterations\n")
+    assert not (tmp_path / "o").exists()
 
 
 def _request_row(cores=1, pressure=0):

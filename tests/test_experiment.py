@@ -1,6 +1,8 @@
 """End-to-end study orchestration on a scaled-down configuration."""
 
 import json
+import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -72,6 +74,29 @@ def test_train_bundle_is_deterministic(small_config, small_wset, small_bundle):
     assert small_bundle.clustering.k == small_config.k
     assert len(small_bundle.training_workload_ids) == small_config.train_count
     assert len(small_bundle.validation_workload_ids) == small_config.val_count
+
+
+def test_train_bundle_trains_at_every_world_seed():
+    # With surface_noise 0 the workloads of one archetype share a
+    # surface, so some seeds train on fewer distinct surfaces than k.
+    emptied = 0
+    for seed in range(60):
+        config = ExperimentConfig(rng_seed=seed)
+        clustering = train_bundle(config, build_workload_set(config)).clustering
+        assert clustering.k == config.k
+        emptied += config.k - len(set(clustering.assignments))
+    assert emptied > 0
+
+
+@pytest.mark.parametrize("override, message", [
+    *(({name: math.inf}, f"{name} must be finite, got inf")
+      for name in ("noise_sigma", "probe_noise", "surface_noise", "footprint_noise")),
+    ({"scale_factors": (2.0, math.inf)},
+     "scale_factors must each be finite and >= 1, got [2.0, inf]"),
+])
+def test_config_refuses_an_infinite_noise_level_or_scale_factor(override, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(**override)
 
 
 def test_default_training_keeps_the_readme_selection(default_bundle):

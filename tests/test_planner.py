@@ -262,6 +262,92 @@ def test_kmeans_k1_centroid_is_mean(small_wset):
     assert clustering.assignments == (0,) * 6
 
 
+def _kmeanspp_seeds(surfaces, k, rng_seed):
+    x = np.stack([s.values.ravel() for s in surfaces])
+    return planner._kmeanspp_init(
+        x, k, np.random.default_rng(np.random.SeedSequence([rng_seed, 13])))
+
+
+def _training_surfaces(config, wset, base):
+    train_ids, _ = experiment.split_train_val(config)
+    return [wset.workload_by_id(i).ground_truth_surface.rebase(base) for i in train_ids]
+
+
+def test_kmeans_above_the_distinct_count_leaves_the_surplus_at_its_seeds(small_wset):
+    # Copies come in pairs, so each mean of copies is exact.
+    distinct = list({s.values.tobytes(): s for s in _surfaces(small_wset)}.values())[:3]
+    surfaces = distinct + distinct
+    seeds = _kmeanspp_seeds(surfaces, 5, 4)
+    clustering = cluster_surfaces(surfaces, k=5, rng_seed=4)
+    assert sorted(set(clustering.assignments)) == [0, 1, 2]
+    assert clustering.assignments[:3] == clustering.assignments[3:]
+    assert len(clustering.cost_history) == 2
+    for j in (3, 4):
+        assert np.array_equal(clustering.centroids[j].values.ravel(), seeds[j])
+
+
+@pytest.mark.parametrize("seed", [9, 23])
+def test_kmeans_above_the_distinct_count_reaches_a_fixpoint(seed):
+    # At these world seeds the 44 training surfaces hold 19 and 18
+    # distinct ones, fewer than k = 20, and the means of copies round.
+    config = experiment.ExperimentConfig(rng_seed=seed)
+    surfaces = _training_surfaces(config, experiment.build_workload_set(config),
+                                  config.base_spec)
+    distinct = len({s.values.tobytes() for s in surfaces})
+    assert distinct < config.k
+    clustering = cluster_surfaces(surfaces, config.k, seed)
+    seeds = _kmeanspp_seeds(surfaces, config.k, seed)
+    x = np.stack([s.values.ravel() for s in surfaces])
+    centers = np.stack([c.values.ravel() for c in clustering.centroids])
+    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    assert np.array_equal(np.argmin(d2, axis=1), np.array(clustering.assignments))
+    used = set(clustering.assignments)
+    assert used == set(range(distinct))
+    for j in range(distinct, config.k):
+        # Each empty cluster sits at its k-means++ seed, or at the
+        # centroid of the cluster whose members it held for one step.
+        assert np.array_equal(centers[j], seeds[j]) or any(
+            np.array_equal(centers[j], centers[i]) for i in used)
+
+
+def _reseeding_kmeans(surfaces, k, rng_seed):
+    """The earlier loop, kept as an oracle: it moved an emptied cluster
+    onto the point farthest from its own centroid."""
+    x = np.stack([s.values.ravel() for s in surfaces])
+    centers = _kmeanspp_seeds(surfaces, k, rng_seed)
+    assignments = None
+    for _ in range(planner.KMEANS_MAX_ITER):
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_assign = np.argmin(d2, axis=1)
+        if assignments is not None and np.array_equal(new_assign, assignments):
+            return centers, tuple(int(a) for a in assignments)
+        assignments = new_assign
+        own = d2[np.arange(len(x)), assignments]
+        for j in range(k):
+            members = assignments == j
+            centers[j] = x[members].mean(axis=0) if members.any() else x[int(np.argmax(own))]
+    raise AssertionError(f"the reseeding loop did not converge at k={k}")
+
+
+@pytest.mark.parametrize("base", [ResourceSpec(6, 8), ResourceSpec(1, 2)],
+                         ids=lambda b: b.key)
+def test_kmeans_matches_the_reseeding_loop_on_every_nonempty_cluster(
+        default_config, default_wset, base):
+    surfaces = _training_surfaces(default_config, default_wset, base)
+    emptied = 0
+    for k in range(2, 31):
+        clustering = cluster_surfaces(surfaces, k, default_config.rng_seed)
+        centers, assignments = _reseeding_kmeans(surfaces, k, default_config.rng_seed)
+        assert clustering.assignments == assignments, k
+        used = set(assignments)
+        for j in used:
+            assert np.array_equal(clustering.centroids[j].values.ravel(), centers[j]), (k, j)
+        emptied += k - len(used)
+    # k above the distinct count leaves clusters empty, where the two
+    # rules differ.
+    assert emptied > 0
+
+
 def _blob_training(rng_seed=0, per_class=12):
     # three well-separated clusters in index space
     rng = np.random.default_rng(rng_seed)

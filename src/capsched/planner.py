@@ -5,7 +5,8 @@ indexes into a concrete resource recommendation:
 
 1. Lasso regression over (index vector, measured TPS) pairs picks the
    indexes that actually carry performance signal. The Lasso is solved
-   exactly, one homotopy path per cross-validation fold.
+   exactly by homotopy: the cross-validation folds' paths and the
+   full-sample path step their knots together in one walk.
 2. K-means groups the training workloads' scaling surfaces; each
    cluster's centroid surface is the representative for its members.
 3. An MLP maps selected, standardized index features, observed at the
@@ -68,8 +69,9 @@ DEFAULT_EPSILON = 0.05
 DEFAULT_COST_WEIGHTS = (1.0, 0.25)
 
 # A Lasso path over the 15 indexes has about 30 knots; the cap catches
-# a path that cycles. A column whose part outside the active columns
-# is below this fraction of its own norm counts as their combination.
+# a path that cycles, and a stacked walk applies it to each of its
+# paths. A column whose part outside the active columns is below this
+# fraction of its own norm counts as their combination.
 LASSO_MAX_KNOTS = 1000
 _DEPENDENT_TOL = 1e-9
 # Cross-validation folds that choose the Lasso lambda.
@@ -136,8 +138,8 @@ def _gram(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     return xs.T @ xs / n, xs.T @ (y - y_mean) / n, mean, std, y_mean
 
 
-def _lasso_path(gram: np.ndarray, corr: np.ndarray, lams) -> np.ndarray:
-    """Exact Lasso coefficients at every lam of lams, one row each.
+def _lasso_paths(grams: np.ndarray, corrs: np.ndarray, lams) -> np.ndarray:
+    """Exact Lasso coefficients of F paths at every lam of lams, (F × lams × p).
 
     Minimizes ½bᵀGb − cᵀb + lam·‖b‖₁, which on G = XsᵀXs/n and
     c = Xsᵀyc/n is (1/2n)‖yc − Xs·b‖² + lam·‖b‖₁ up to a constant. This
@@ -148,65 +150,99 @@ def _lasso_path(gram: np.ndarray, corr: np.ndarray, lams) -> np.ndarray:
     its active block afresh, and the rows of lams it spans are read off
     that linear piece.
 
+    Path f has G = grams[f] and c = corrs[f]. The F paths step
+    together: each pass takes one knot on every path that has not yet
+    reached min(lams), with one stacked solve and one stacked product
+    per active-set size among them, and does the event bookkeeping on
+    (F × p) arrays. Each element's arithmetic is that of a path walked
+    alone, so a path's rows do not depend on the others, and its knots
+    do not depend on lams before it ends.
+
     A column with a zero on G's diagonal never joins, nor does one that
     is a combination of the active columns, so when n < p the active set
     stops growing at the rank of the centred data and lam = 0 ends at
     that set's least-squares fit. Events within 1e-12·lam_max of one
     another count as one, and the lowest column index goes first.
-    Raises RuntimeError after LASSO_MAX_KNOTS knots, which only a
-    cycling path reaches.
+    Raises RuntimeError when a path has not reached min(lams) in
+    LASSO_MAX_KNOTS knots, which only a cycling path does.
     """
     lams = np.asarray(lams, dtype=float)
-    p = len(corr)
-    out = np.zeros((len(lams), p))
-    diag = np.diag(gram)
-    lam = float(np.max(np.abs(corr), initial=0.0))
+    n_paths, p = corrs.shape
+    out = np.zeros((n_paths, len(lams), p))
+    diags = np.diagonal(grams, axis1=1, axis2=2)
+    dependent = _DEPENDENT_TOL * diags
+    lam = np.max(np.abs(corrs), axis=1, initial=0.0)
     lam_end = float(lams.min())
-    pending = lams < lam
-    if not pending.any():
-        return out
+    pending = lams < lam[:, None]
+    live = np.flatnonzero(pending.any(axis=1)).tolist()
     tie = 1e-12 * lam
-    on = np.zeros(p, dtype=bool)
-    signs = np.zeros(p)
+    on = np.zeros((n_paths, p), dtype=bool)
+    sizes = [0] * n_paths
+    # Row j of path f's system is (c_j, sign_j, G_j); the active rows
+    # are its right-hand side.
+    system = np.concatenate((corrs[:, :, None], np.zeros((n_paths, p, 1)), grams), axis=2)
+    signs = system[:, :, 1]
+    # Each path's segment: b(l) = u − l·d over its active columns (stale
+    # and unused elsewhere), its correlations' residual and slope, and
+    # outside.
+    ud = np.zeros((n_paths, p, 2))
+    u, d = ud[:, :, 0], ud[:, :, 1]
+    residual, slope, outside = np.zeros((3, n_paths, p))
     for _ in range(LASSO_MAX_KNOTS):
-        active = np.flatnonzero(on)
-        rows = gram[active]
-        # On this segment b_A(l) = u − l·d, and W = G_AA⁻¹·G_A writes
-        # every column in terms of the active ones.
-        solved = np.linalg.solve(rows[:, active], np.column_stack(
-            (corr[active], signs[active], rows)))
-        u, d, w = solved[:, 0], solved[:, 1], solved[:, 2:]
-        beta = u - lam * d
-        residual = corr - beta @ rows
-        slope = signs[active] @ w
-        # Zero for an active column, a zero-variance one, or a combination
-        # of the active ones: none of these can join.
-        outside = diag - np.einsum("ij,ij->j", rows, w)
+        if not live:
+            return out
+        groups: dict[int, list[int]] = {}
+        for f in live:
+            groups.setdefault(sizes[f], []).append(f)
+        for m, members in groups.items():
+            g = np.array(members)
+            active = np.nonzero(on[g])[1].reshape(len(g), m)
+            rhs = system[g[:, None], active]
+            rows = rhs[:, :, 2:]
+            # W = G_AA⁻¹·G_A writes every column in terms of the active ones.
+            solved = np.linalg.solve(
+                grams[g[:, None, None], active[:, :, None], active[:, None, :]], rhs)
+            w = solved[:, :, 2:]
+            beta = solved[:, :, 0] - lam[g, None] * solved[:, :, 1]
+            residual[g] = corrs[g] - (beta[:, None, :] @ rows)[:, 0]
+            slope[g] = (rhs[:, None, :, 1] @ w)[:, 0]
+            # Zero for an active column, a zero-variance one, or a combination
+            # of the active ones: none of these can join.
+            outside[g] = diags[g] - np.einsum("gij,gij->gj", rows, w)
+            ud[g[:, None], active] = solved[:, :, :2]
         # As lam falls by t, an inactive correlation r moves by −t·slope
         # and reaches +lam at t = (lam − r)/(1 − slope), −lam at
         # t = (lam + r)/(1 + slope); an active b moves by t·d and
-        # reaches zero at t = −b/d.
+        # reaches zero at t = −b/d. Rows of ended paths are stale, and
+        # their take is empty.
+        lam_col = lam[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            up = np.where(slope < 1, np.maximum(lam - residual, 0) / (1 - slope), np.inf)
-            down = np.where(slope > -1, np.maximum(lam + residual, 0) / (1 + slope),
+            up = np.where(slope < 1, np.maximum(lam_col - residual, 0) / (1 - slope), np.inf)
+            down = np.where(slope > -1, np.maximum(lam_col + residual, 0) / (1 + slope),
                             np.inf)
-            drop = np.where(signs[active] * d < 0,
-                            np.maximum(signs[active] * beta, 0) / np.abs(d), np.inf)
-        event = np.where(outside > _DEPENDENT_TOL * diag, np.minimum(up, down), np.inf)
-        event[active] = drop
-        step = float(event.min())
-        low = max(lam - step, lam_end)
-        take = pending & (lams >= low)
-        out[np.ix_(take, active)] = u - np.outer(lams[take], d)
-        pending &= ~take
-        if low == lam_end:
-            return out
+            drop = np.where(signs * d < 0,
+                            np.maximum(signs * (u - lam_col * d), 0) / np.abs(d), np.inf)
+        event = np.where(on, drop, np.where(outside > dependent, np.minimum(up, down), np.inf))
+        step = event.min(axis=1)
+        low = np.maximum(lam - step, lam_end)
+        take = pending & (lams >= low[:, None])
+        if take.any():
+            np.copyto(out, u[:, None, :] - lams[:, None] * d[:, None, :],
+                      where=take[:, :, None] & on[:, None, :])
+            pending &= ~take
+        live = [f for f in live if low[f] != lam_end]
         lam = low
-        j = int(np.flatnonzero(event <= step + tie)[0])
-        if on[j]:
-            on[j], signs[j] = False, 0.0
-        else:
-            on[j], signs[j] = True, 1.0 if up[j] <= down[j] else -1.0
+        hit = np.argmax(event <= (step + tie)[:, None], axis=1)
+        for f in live:
+            j = hit[f]
+            if on[f, j]:
+                on[f, j], signs[f, j] = False, 0.0
+                sizes[f] -= 1
+            else:
+                on[f, j], signs[f, j] = True, 1.0 if up[f, j] <= down[f, j] else -1.0
+                sizes[f] += 1
+    if not live:
+        return out
     raise RuntimeError(f"Lasso path did not reach lambda={lam_end:g} "
                        f"in {LASSO_MAX_KNOTS} knots")
 
@@ -233,29 +269,33 @@ class FeatureSelection(JsonRecord):
         return tuple(INDEX_NAMES[i] for i in self.selected)
 
 
+def _selection(lam: float, beta: np.ndarray) -> FeatureSelection:
+    selected = tuple(int(j) for j in range(len(beta)) if abs(beta[j]) > 1e-9)
+    return FeatureSelection(lam=float(lam), weights=tuple(float(b) for b in beta),
+                            selected=selected)
+
+
 def select_features(samples, lam: float) -> FeatureSelection:
     """Fit the standardized Lasso and keep the nonzero support.
 
     lam = 0 degenerates to ordinary least squares, so every feature
     survives on full-rank data. Large enough lam empties the support.
     """
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
     x, y = _as_matrix(samples)
     gram, corr, _, _, _ = _gram(x, y)
-    [beta] = _lasso_path(gram, corr, [lam])
-    selected = tuple(int(j) for j in range(len(beta)) if abs(beta[j]) > 1e-9)
-    return FeatureSelection(lam=float(lam), weights=tuple(float(b) for b in beta),
-                            selected=selected)
+    return _selection(lam, _lasso_paths(gram[None], corr[None], [lam])[0, 0])
 
 
 def select_features_cv(samples, rng_seed: int) -> FeatureSelection:
     """Pick lambda by CV_FOLDS-fold cross-validation, then refit on all samples.
 
-    Each fold fits one Lasso path over the whole grid. Ties in
-    validation error go to the larger lambda (sparser model). Raises
-    ValueError when no fold has both a validation sample and two
-    training samples.
+    One walk steps the fold paths and the full-sample path together over
+    the whole grid. The refit is the full-sample path's row at the chosen
+    lambda, which is what select_features fits there. Ties in validation
+    error go to the larger lambda (sparser model). Raises ValueError when
+    no fold has both a validation sample and two training samples.
     """
     x, y = _as_matrix(samples)
     n = len(y)
@@ -265,25 +305,29 @@ def select_features_cv(samples, rng_seed: int) -> FeatureSelection:
     fold_of = np.zeros(n, dtype=int)
     for pos, idx in enumerate(order):
         fold_of[idx] = pos % folds
-    grid = lambda_grid()
-    errors = []
+    fits = []
     for f in range(folds):
         train, val = fold_of != f, fold_of == f
-        if not val.any() or train.sum() < 2:
-            continue
-        gram, corr, mean, std, y_mean = _gram(x[train], y[train])
-        betas = _lasso_path(gram, corr, grid)
+        if val.any() and train.sum() >= 2:
+            fits.append((val, _gram(x[train], y[train])))
+    if not fits:
+        raise ValueError(f"cross-validation needs at least 3 samples, got {n}")
+    # The last path is the full sample's; zip below stops before it.
+    stats = [fit for _, fit in fits] + [_gram(x, y)]
+    grid = lambda_grid()
+    paths = _lasso_paths(np.stack([s[0] for s in stats]), np.stack([s[1] for s in stats]),
+                         grid)
+    errors = []
+    for (val, (_, _, mean, std, y_mean)), betas in zip(fits, paths):
         pred = ((x[val] - mean) / std) @ betas.T + y_mean
         errors.append(np.mean((pred - y[val][:, None]) ** 2, axis=0))
-    if not errors:
-        raise ValueError(f"cross-validation needs at least 3 samples, got {n}")
-    best_lam, best_mse = None, None
-    for lam, mse in zip(grid, np.mean(errors, axis=0)):
+    best, best_mse = None, None
+    for i, mse in enumerate(np.mean(errors, axis=0)):
         mse = float(mse)
         if best_mse is None or mse < best_mse - 1e-12 or (
-                abs(mse - best_mse) <= 1e-12 and lam > best_lam):
-            best_lam, best_mse = float(lam), mse
-    return select_features(samples, best_lam)
+                abs(mse - best_mse) <= 1e-12 and grid[i] > grid[best]):
+            best, best_mse = i, mse
+    return _selection(grid[best], paths[-1, best])
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,37 @@ def _cfg_args(workdir, sub):
     return ["--config", str(workdir / "config.json"), "--out", str(out)], out
 
 
-def test_gen_writes_workload_set(workdir):
-    args, out = _cfg_args(workdir, "gen")
-    rc, stdout, _ = _run("gen", *args)
+# The tiny study's shared artifacts: each command's inputs, relative to
+# workdir, in the order the commands run.
+_STUDY = {
+    "gen": [],
+    "calibrate": [],
+    "train": ["--workloads", "gen/workloads.json"],
+    "estimate": ["--workloads", "gen/workloads.json",
+                 "--tracks", "calibrate/reference_tracks.json"],
+    "schedule": ["--requests", "estimate/profiles.json", "--policy", "ursa"],
+}
+
+
+@pytest.fixture(scope="module")
+def study(workdir):
+    """Run the tiny study's commands into workdir/<command>, once per module.
+
+    Maps each command to its (exit code, stdout, stderr). A test that
+    reads one of these artifacts takes this fixture, so it passes alone
+    and in any order; the test named after a command checks its run.
+    """
+    runs = {}
+    for command, inputs in _STUDY.items():
+        args, _ = _cfg_args(workdir, command)
+        runs[command] = _run(command, *args,
+                             *(str(workdir / a) if "/" in a else a for a in inputs))
+    return runs
+
+
+def test_gen_writes_workload_set(workdir, study):
+    out = workdir / "gen"
+    rc, stdout, _ = study["gen"]
     assert rc == 0
     assert "workloads.json" in stdout
     data = json.loads((out / "workloads.json").read_text())
@@ -60,10 +88,9 @@ def test_gen_writes_workload_set(workdir):
     assert len(data["archetypes"]) == TINY.archetype_count
 
 
-def test_train_writes_bundle_and_validation(workdir):
-    gen_out = workdir / "gen" / "workloads.json"
-    args, out = _cfg_args(workdir, "train")
-    rc, stdout, _ = _run("train", *args, "--workloads", str(gen_out))
+def test_train_writes_bundle_and_validation(workdir, study):
+    out = workdir / "train"
+    rc, stdout, _ = study["train"]
     assert rc == 0
     assert "validation error" in stdout
     bundle = json.loads((out / "bundle.json").read_text())
@@ -74,9 +101,9 @@ def test_train_writes_bundle_and_validation(workdir):
     assert len(report["rows"]) == TINY.val_count
 
 
-def test_calibrate_writes_reference_tracks(workdir):
-    args, out = _cfg_args(workdir, "calibrate")
-    rc, _, _ = _run("calibrate", *args)
+def test_calibrate_writes_reference_tracks(workdir, study):
+    out = workdir / "calibrate"
+    rc, _, _ = study["calibrate"]
     assert rc == 0
     tracks = json.loads((out / "reference_tracks.json").read_text())
     assert tracks["schema"] == "reference-tracks/v1"
@@ -85,12 +112,9 @@ def test_calibrate_writes_reference_tracks(workdir):
     assert digest == "11abd3d72e85791364ba10a07ec3481e72752fcb77dc64b86ef45dfd545c3ed5"
 
 
-def test_estimate_writes_profiles(workdir):
-    args, out = _cfg_args(workdir, "estimate")
-    rc, stdout, _ = _run(
-        "estimate", *args,
-        "--workloads", str(workdir / "gen" / "workloads.json"),
-        "--tracks", str(workdir / "calibrate" / "reference_tracks.json"))
+def test_estimate_writes_profiles(workdir, study):
+    out = workdir / "estimate"
+    rc, stdout, _ = study["estimate"]
     assert rc == 0
     profiles = json.loads((out / "profiles.json").read_text())
     assert profiles["schema"] == "profiles/v1"
@@ -100,6 +124,7 @@ def test_estimate_writes_profiles(workdir):
             assert resource in record["profile"]
 
 
+@pytest.mark.usefixtures("study")
 def test_calibrate_reads_the_nodes_of_a_workload_set(workdir, tmp_path):
     # Tracks calibrated on an 8-way world are the ones estimate accepts there.
     w8 = tmp_path / "w8.json"
@@ -122,6 +147,7 @@ def test_calibrate_reads_the_nodes_of_a_workload_set(workdir, tmp_path):
             == (workdir / "calibrate" / "reference_tracks.json").read_bytes())
 
 
+@pytest.mark.usefixtures("study")
 def test_plan_recommends_spec(workdir):
     args, out = _cfg_args(workdir, "plan")
     rc, stdout, _ = _run(
@@ -138,6 +164,7 @@ def test_plan_recommends_spec(workdir):
     assert plan["predicted_ratio"] >= 1.5
 
 
+@pytest.mark.usefixtures("study")
 def test_plan_reports_infeasible_with_exit_2(workdir):
     args, out = _cfg_args(workdir, "plan_infeasible")
     rc, _, stderr = _run(
@@ -153,6 +180,7 @@ def test_plan_reports_infeasible_with_exit_2(workdir):
     assert plan["best_speedup"] < 50
 
 
+@pytest.mark.usefixtures("study")
 def test_plan_rejects_nan_target_as_bad_input(workdir):
     args, out = _cfg_args(workdir, "plan_nan")
     rc, _, stderr = _run(
@@ -164,6 +192,7 @@ def test_plan_rejects_nan_target_as_bad_input(workdir):
     assert not (out / "plan.json").exists()
 
 
+@pytest.mark.usefixtures("study")
 def test_plan_rejects_non_object_indexes_with_exit_1(workdir, tmp_path):
     listed = tmp_path / "indexes.json"
     listed.write_text("[1, 2, 3]")
@@ -178,12 +207,9 @@ def test_plan_rejects_non_object_indexes_with_exit_1(workdir, tmp_path):
     assert not (out / "plan.json").exists()
 
 
-def test_schedule_places_every_request(workdir):
-    args, out = _cfg_args(workdir, "schedule")
-    rc, stdout, _ = _run(
-        "schedule", *args,
-        "--requests", str(workdir / "estimate" / "profiles.json"),
-        "--policy", "ursa")
+def test_schedule_places_every_request(workdir, study):
+    out = workdir / "schedule"
+    rc, stdout, _ = study["schedule"]
     assert rc == 0
     lines = (out / "placements.jsonl").read_text().strip().split("\n")
     assert len(lines) == TINY.workload_count
@@ -193,6 +219,7 @@ def test_schedule_places_every_request(workdir):
         assert row["score"] >= 0.0
 
 
+@pytest.mark.usefixtures("study")
 @pytest.mark.parametrize("probe_noise", [0.0, 0.05])
 @pytest.mark.parametrize("spec", [None, "6c8g"])
 def test_estimate_profiles_are_the_per_workload_oracles_bytes(probe_noise, spec, workdir,
@@ -218,6 +245,7 @@ def test_estimate_profiles_are_the_per_workload_oracles_bytes(probe_noise, spec,
         {"schema": "profiles/v1", "profiles": records})
 
 
+@pytest.mark.usefixtures("study")
 def test_schedule_exhausted_cluster_exits_2(workdir, tmp_path):
     nodes = tmp_path / "nodes.json"
     nodes.write_text(json.dumps({"count": 1, "cores": 2, "memory_gb": 4}))
@@ -231,6 +259,7 @@ def test_schedule_exhausted_cluster_exits_2(workdir, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.usefixtures("study")
 def test_schedule_rejects_duplicate_ids_with_exit_1(workdir, tmp_path):
     profiles = json.loads((workdir / "estimate" / "profiles.json").read_text())
     profiles["profiles"].append(profiles["profiles"][0])
@@ -274,6 +303,7 @@ def test_schedule_exits_1_when_a_risk_overflows(workdir, tmp_path):
     assert not (out / "placements.jsonl").exists()
 
 
+@pytest.mark.usefixtures("study")
 def test_simulate_scores_placements(workdir):
     args, out = _cfg_args(workdir, "simulate")
     rc, stdout, _ = _run(
@@ -295,6 +325,7 @@ def test_simulate_scores_placements(workdir):
         assert float(line.split(",")[2]) == entry["sd"]
 
 
+@pytest.mark.usefixtures("study")
 def test_scenario1_emits_report_and_csv(workdir):
     args, out = _cfg_args(workdir, "scenario1")
     rc, stdout, _ = _run("scenario1", *args,
@@ -307,6 +338,7 @@ def test_scenario1_emits_report_and_csv(workdir):
     assert (out / "scenario1.csv").exists()
 
 
+@pytest.mark.usefixtures("study")
 def test_scenario2_emits_report_and_csv(workdir):
     args, out = _cfg_args(workdir, "scenario2")
     rc, stdout, _ = _run("scenario2", *args,
@@ -318,6 +350,7 @@ def test_scenario2_emits_report_and_csv(workdir):
     assert (out / "scenario2.csv").exists()
 
 
+@pytest.mark.usefixtures("study")
 def test_colocate_emits_trials(workdir):
     args, out = _cfg_args(workdir, "colocate")
     rc, stdout, _ = _run("colocate", *args,
@@ -329,6 +362,7 @@ def test_colocate_emits_trials(workdir):
     assert len(report["rows"]) == TINY.trials
 
 
+@pytest.mark.usefixtures("study")
 def test_sweep_emits_grid(workdir):
     args, out = _cfg_args(workdir, "sweep")
     rc, stdout, _ = _run("sweep", *args,
@@ -393,6 +427,7 @@ def test_seed_override_changes_generated_set(workdir, tmp_path):
     assert a == c
 
 
+@pytest.mark.usefixtures("study")
 def test_bad_inputs_exit_1(workdir, tmp_path):
     rc, _, stderr = _run("train", "--config", str(workdir / "config.json"),
                          "--workloads", str(tmp_path / "missing.json"),
@@ -525,6 +560,7 @@ def test_schedule_rejects_bad_request_rows(rows, message, workdir, tmp_path):
     assert stderr == f"error: {requests}: {message}\n"
 
 
+@pytest.mark.usefixtures("study")
 def test_plan_rejects_base_mismatch_naming_both_bases(workdir, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(
@@ -539,6 +575,7 @@ def test_plan_rejects_base_mismatch_naming_both_bases(workdir, tmp_path):
     assert not (tmp_path / "plan.json").exists()
 
 
+@pytest.mark.usefixtures("study")
 def test_simulate_reads_the_node_inventory_schedule_used(workdir, tmp_path):
     nodes = tmp_path / "nodes.json"
     nodes.write_text(json.dumps({"count": 2, "cores": 400, "memory_gb": 1024}))
@@ -555,6 +592,7 @@ def test_simulate_reads_the_node_inventory_schedule_used(workdir, tmp_path):
     assert len(report["entries"]) == TINY.workload_count
 
 
+@pytest.mark.usefixtures("study")
 @pytest.mark.parametrize("inventory", [
     {"nodes": [{"node_id": 0, "capacity": {"cores": 96, "memory_gb": 256}},
                {"node_id": 1, "capacity": {"cores": 48, "memory_gb": 256}}]},
@@ -592,6 +630,7 @@ def _plan_with_bundle(bundle, workdir, tmp_path):
     return rc, stderr, path, out
 
 
+@pytest.mark.usefixtures("study")
 @pytest.mark.parametrize("mutate, message", [
     pytest.param(lambda b: b["classifier"]["selection"]["selected"].append(15),
                  "not all in 0..14", id="selected-range"),
@@ -620,6 +659,7 @@ def test_plan_rejects_inconsistent_bundle(mutate, message, workdir, tmp_path):
     assert not (out / "plan.json").exists()
 
 
+@pytest.mark.usefixtures("study")
 def test_plan_refuses_a_v1_bundle_naming_the_schema(workdir, tmp_path):
     # The v1 layout: the classifier in a map keyed by its base, tagged with
     # its kind and class count, and its selection copied to the top level.
@@ -636,6 +676,7 @@ def test_plan_refuses_a_v1_bundle_naming_the_schema(workdir, tmp_path):
     assert not (out / "plan.json").exists()
 
 
+@pytest.mark.usefixtures("study")
 @pytest.mark.parametrize("inventory, message", [
     ({"nodes": [{"node_id": 0}]}, "node row 0 has no 'capacity'"),
     ({"nodes": [{"capacity": {"cores": 96, "memory_gb": 256}}]},
@@ -709,6 +750,7 @@ def _read_with(kind, text, workdir, out):
     return rc, stderr, path
 
 
+@pytest.mark.usefixtures("study")
 @pytest.mark.parametrize("kind, edit, message", [
     ("requests", lambda d: d["requests"][0].update(spec=5),
      "request row 0.spec needs a JSON object, got 5"),
@@ -736,6 +778,7 @@ def test_value_of_wrong_json_type_exits_1_naming_it(kind, edit, message, workdir
     assert (rc, stderr) == (1, f"error: {path}: {message}\n")
 
 
+@pytest.mark.usefixtures("study")
 @pytest.mark.parametrize("kind", ["config", "bundle", "nodes"])
 def test_truncated_file_is_named(kind, workdir, tmp_path):
     text = canonical_json(_input(kind, workdir))
@@ -744,6 +787,7 @@ def test_truncated_file_is_named(kind, workdir, tmp_path):
     assert stderr.startswith(f"error: {path}: ")
 
 
+@pytest.mark.usefixtures("study")
 @pytest.mark.parametrize("line, message", [
     ("[1, 2]", "line 2 needs a JSON object, got [1, 2]"),
     ('{"node_id": 0}', "line 2 has no 'workload_id'"),
@@ -764,6 +808,7 @@ def test_simulate_rejects_bad_placement_rows(line, message, workdir, tmp_path):
     assert stderr.startswith(f"error: {placements}: {message}")
 
 
+@pytest.mark.usefixtures("study")
 @pytest.mark.parametrize("case", ["repeated workload", "unknown node"])
 def test_simulate_names_the_line_placing_a_workload_twice_or_off_the_inventory(
         case, workdir, tmp_path):
@@ -799,6 +844,7 @@ def test_simulate_names_the_placements_file_and_the_overload(workdir, tmp_path):
     assert not (tmp_path / "out" / "simulation.json").exists()
 
 
+@pytest.mark.usefixtures("study")
 @pytest.mark.parametrize("text", ["", "\n\n"])
 def test_placements_file_without_placements_exits_1_naming_it(text, workdir, tmp_path):
     placements = tmp_path / "placements.jsonl"
@@ -810,6 +856,7 @@ def test_placements_file_without_placements_exits_1_naming_it(text, workdir, tmp
     assert not (tmp_path / "out" / "simulation.json").exists()
 
 
+@pytest.mark.usefixtures("study")
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d.update(tracks=[]), "tracks: reference tracks list no levels"),
     (lambda d: [row["kmps"].pop() for row in d["tracks"]],
@@ -833,6 +880,7 @@ def test_estimate_refuses_a_tracks_file_before_probing(edit, message, workdir, t
     assert probed == []
 
 
+@pytest.mark.usefixtures("study")
 @pytest.mark.parametrize("spec", ["40c200g", "1c1g"])
 def test_estimate_refuses_a_spec_outside_the_region(spec, workdir, tmp_path):
     out = tmp_path / "out"
@@ -869,6 +917,7 @@ def test_malformed_flag_value_exits_1_naming_flag_and_value(argv, message, workd
     assert not out.exists()
 
 
+@pytest.mark.usefixtures("study")
 @pytest.mark.parametrize("command", ["schedule", "simulate"])
 def test_requests_file_without_requests_exits_1_naming_it(command, workdir, tmp_path):
     requests = tmp_path / "requests.json"
@@ -941,6 +990,7 @@ _BREAKS = {
 }
 
 
+@pytest.mark.usefixtures("study")
 @pytest.mark.parametrize("kind", list(_BREAKS))
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
@@ -979,6 +1029,7 @@ _MALFORMED_INPUTS = {
 }
 
 
+@pytest.mark.usefixtures("study")
 @pytest.mark.parametrize("case", list(_MALFORMED_INPUTS))
 def test_a_malformed_input_file_exits_1_before_creating_out(case, workdir, tmp_path):
     bad = tmp_path / "bad.json"

@@ -1,7 +1,9 @@
 """Planner pipeline: feature selection, clustering, classification, sizing."""
 
+import math
 from dataclasses import replace
 
+import lasso_oracle
 import numpy as np
 import pytest
 from conftest import index_vector
@@ -85,6 +87,13 @@ def test_lasso_large_lambda_empties_support():
         select_features(_orthonormal_samples(beta_true), -0.5)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_select_features_refuses_a_lambda_that_is_not_finite(lam):
+    with pytest.raises(ValueError) as refused:
+        select_features(_orthonormal_samples(np.eye(15)[0]), lam)
+    assert str(refused.value) == f"lambda must be finite and non-negative, got {lam}"
+
+
 def _random_problem(seed, n, p=15, collinear=False, constant=False, duplicate=False):
     """Raw design and targets: scaled, shifted normal columns, sparse truth."""
     rng = np.random.default_rng(seed)
@@ -104,15 +113,25 @@ def _random_problem(seed, n, p=15, collinear=False, constant=False, duplicate=Fa
 _PATH_LAMS = np.append(lambda_grid(), 0.0)
 
 
+def _walk(stats, lams):
+    """The stacked walk over a list of Lasso statistics (gram, corr)."""
+    return planner._lasso_paths(np.stack([g for g, _ in stats]),
+                                np.stack([c for _, c in stats]), lams)
+
+
+def _paths(problems, lams):
+    """The stacked walk over the Lasso statistics of each (x, y) of problems."""
+    return _walk([planner._gram(x, y)[:2] for x, y in problems], lams)
+
+
 @pytest.mark.parametrize("shape", [
     dict(n=40), dict(n=40, collinear=True), dict(n=40, constant=True, duplicate=True),
     dict(n=8), dict(n=10, collinear=True, constant=True), dict(n=14, duplicate=True),
 ])
 def test_lasso_path_meets_kkt_conditions(shape):
-    for seed in range(10):
-        x, y = _random_problem(seed, **shape)
+    problems = [_random_problem(seed, **shape) for seed in range(10)]
+    for (x, y), path in zip(problems, _paths(problems, _PATH_LAMS)):
         gram, corr, *_ = planner._gram(x, y)
-        path = planner._lasso_path(gram, corr, _PATH_LAMS)
         for lam, beta in zip(_PATH_LAMS, path):
             residual = corr - gram @ beta
             assert np.all(np.abs(residual) <= lam + 1e-9)
@@ -151,7 +170,7 @@ def test_lasso_path_matches_converged_coordinate_descent(seed, n, p, lams):
     xs, _, _ = planner._standardize(x)
     yc = y - y.mean()
     gram, corr, *_ = planner._gram(x, y)
-    for lam, beta in zip(lams, planner._lasso_path(gram, corr, lams)):
+    for lam, beta in zip(lams, _paths([(x, y)], lams)[0]):
         reference = _reference_cd(gram, corr, lam)
 
         def objective(b):
@@ -165,7 +184,7 @@ def test_lasso_path_is_empty_from_lambda_max():
     x, y = _random_problem(5, 40)
     gram, corr, *_ = planner._gram(x, y)
     lam_max = np.abs(corr).max()
-    path = planner._lasso_path(gram, corr, [2 * lam_max, lam_max, 0.999 * lam_max])
+    [path] = _paths([(x, y)], [2 * lam_max, lam_max, 0.999 * lam_max])
     assert not path[:2].any()
     assert np.flatnonzero(path[2]).tolist() == [int(np.argmax(np.abs(corr)))]
     assert not select_features(_orthonormal_samples(np.zeros(15)), 0.0).selected
@@ -174,9 +193,40 @@ def test_lasso_path_is_empty_from_lambda_max():
 def test_lasso_path_raises_at_its_knot_cap(monkeypatch):
     x, y = _random_problem(6, 40)
     gram, corr, *_ = planner._gram(x, y)
+    # One column alone: its path reaches lambda = 0 in its first knot.
+    easy = np.eye(15), np.eye(15)[0]
     monkeypatch.setattr(planner, "LASSO_MAX_KNOTS", 2)
-    with pytest.raises(RuntimeError, match="did not reach lambda=0 in 2 knots"):
-        planner._lasso_path(gram, corr, [0.0])
+    assert _walk([easy], [0.0])[0, 0, 0] == 1.0
+    for stack in ([(gram, corr)], [easy, (gram, corr)], [(gram, corr), easy, easy]):
+        with pytest.raises(RuntimeError, match="did not reach lambda=0 in 2 knots"):
+            _walk(stack, [0.0])
+
+
+def _oracle_stack(rng, n_paths):
+    """The Lasso statistics (gram, corr) of n_paths random problems.
+
+    Sample counts run from 3 to 59, so some paths have n < p; some
+    problems have dependent, duplicate or zero-variance columns.
+    """
+    problems = [_random_problem(int(rng.integers(1 << 30)), n=int(rng.integers(3, 60)),
+                                collinear=rng.random() < 0.3, constant=rng.random() < 0.3,
+                                duplicate=rng.random() < 0.3) for _ in range(n_paths)]
+    return [planner._gram(x, y)[:2] for x, y in problems]
+
+
+@pytest.mark.parametrize("n_paths", range(1, 7))
+def test_stacked_paths_equal_the_single_path_oracle_bit_for_bit(n_paths):
+    rng = np.random.default_rng(n_paths)
+    # The grid with lambda = 0; a draw of lambdas out of order; one lambda
+    # above lambda_max on some paths and below on others; one above all.
+    for stats in (_oracle_stack(rng, n_paths) for _ in range(12)):
+        lam_maxes = [np.abs(c).max() for _, c in stats]
+        for lams in (_PATH_LAMS, rng.uniform(0.0, 2 * max(lam_maxes), 5),
+                     [float(np.median(lam_maxes))], [1.5 * max(lam_maxes)]):
+            got = _walk(stats, lams)
+            assert got.shape == (n_paths, len(lams), 15)
+            for (gram, corr), path in zip(stats, got):
+                assert path.tobytes() == lasso_oracle._lasso_path(gram, corr, lams).tobytes()
 
 
 def test_lasso_without_penalty_interpolates_when_samples_are_few():
@@ -197,6 +247,52 @@ def test_cv_refuses_samples_that_no_fold_can_validate():
     with pytest.raises(ValueError, match="at least 3 samples, got 2"):
         select_features_cv(samples[:2], rng_seed=0)
     assert select_features_cv(samples[:3], rng_seed=0).lam in lambda_grid()
+
+
+def _loocv_samples(config, wset):
+    """The Lasso samples of every held-out round run_loocv makes on wset."""
+    ids = [w.workload_id for w in wset.workloads]
+    seen = experiment._observe(config, wset, ids, config.base_spec)
+    return [[(seen[i].indexes, seen[i].tps) for i in ids if i != held] for held in ids]
+
+
+# The command line tests' tiny study; its CV folds train on fewer samples
+# than there are indexes.
+_TINY = experiment.ExperimentConfig(rng_seed=3, archetype_count=4, workload_count=10,
+                                    train_count=8, val_count=2, k=4)
+# The 550-workload world; it trains on 440 samples.
+_N440 = experiment.ExperimentConfig(rng_seed=1, archetype_count=200, workload_count=550,
+                                    train_count=440, val_count=110)
+
+
+def _bits(selection):
+    return selection.lam, np.array(selection.weights).tobytes(), selection.selected
+
+
+def _assert_cv_equals_the_oracle(samples, rng_seed):
+    assert _bits(select_features_cv(samples, rng_seed)) == _bits(
+        lasso_oracle.select_features_cv(samples, rng_seed))
+
+
+def test_cv_equals_per_fold_oracle_paths_on_tiny_loocv_rounds():
+    for samples in _loocv_samples(_TINY, experiment.build_workload_set(_TINY)):
+        _assert_cv_equals_the_oracle(samples, _TINY.rng_seed)
+
+
+def test_cv_equals_per_fold_oracle_paths_on_default_loocv_rounds(default_config,
+                                                                 default_wset):
+    for samples in _loocv_samples(default_config, default_wset):
+        _assert_cv_equals_the_oracle(samples, default_config.rng_seed)
+
+
+def test_cv_equals_per_fold_oracle_paths_at_440_samples():
+    wset = experiment.build_workload_set(_N440)
+    train_ids, _ = experiment.split_train_val(_N440)
+    seen = experiment._observe(_N440, wset, train_ids, _N440.base_spec)
+    samples = [(seen[i].indexes, seen[i].tps) for i in train_ids]
+    assert len(samples) == 440
+    for rng_seed in (1, 2):
+        _assert_cv_equals_the_oracle(samples, rng_seed)
 
 
 def test_cv_selection_is_deterministic_and_on_grid():
